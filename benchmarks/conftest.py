@@ -21,9 +21,6 @@ Environment knobs (all optional):
 * ``REPRO_BENCH_JOBS``      — worker processes for the matrix fan-out
   (default: ``REPRO_JOBS`` or the CPU count)
 * ``REPRO_BENCH_CACHE``     — set to ``0`` to bypass the on-disk result cache
-* ``REPRO_BENCH_BACKEND``   — execution backend for the fan-out
-  (``local``/``batched``; default: ``REPRO_BACKEND`` or ``local`` — see
-  ``repro/analysis/backends/``)
 """
 
 from __future__ import annotations
@@ -46,15 +43,13 @@ def _env_list(name: str):
 
 
 def _executor_knobs():
-    """Worker-count, cache and backend settings shared by every session
-    fixture (``REPRO_BENCH_JOBS`` / ``REPRO_BENCH_CACHE`` /
-    ``REPRO_BENCH_BACKEND``)."""
+    """Worker-count and cache settings shared by every session fixture
+    (``REPRO_BENCH_JOBS`` / ``REPRO_BENCH_CACHE``)."""
     jobs_env = os.environ.get("REPRO_BENCH_JOBS", "").strip()
     jobs = int(jobs_env) if jobs_env else None
     cache_enabled = os.environ.get("REPRO_BENCH_CACHE", "1").lower() not in (
         "0", "false", "no")
-    backend = os.environ.get("REPRO_BENCH_BACKEND", "").strip() or None
-    return jobs, ResultCache(RESULTS_DIR / "cache", enabled=cache_enabled), backend
+    return jobs, ResultCache(RESULTS_DIR / "cache", enabled=cache_enabled)
 
 
 @pytest.fixture(scope="session")
@@ -62,7 +57,7 @@ def bench_runner() -> ExperimentRunner:
     """Session-cached experiment runner for the full evaluation matrix."""
     num_cores = int(os.environ.get("REPRO_BENCH_CORES", "8"))
     scale = float(os.environ.get("REPRO_BENCH_SCALE", "0.35"))
-    jobs, cache, backend = _executor_knobs()
+    jobs, cache = _executor_knobs()
     runner = ExperimentRunner(
         system_config=SystemConfig().scaled(num_cores=num_cores),
         protocols=_env_list("REPRO_BENCH_PROTOCOLS"),
@@ -70,7 +65,6 @@ def bench_runner() -> ExperimentRunner:
         scale=scale,
         jobs=jobs,
         cache=cache,
-        backend=backend,
     )
     return runner
 
@@ -92,9 +86,9 @@ def run_sweep():
     plumbing."""
     from repro.analysis.sweeps import get_sweep
 
-    jobs, cache, backend = _executor_knobs()
+    jobs, cache = _executor_knobs()
 
     def _run(name: str):
-        return get_sweep(name).run(jobs=jobs, cache=cache, backend=backend)
+        return get_sweep(name).run(jobs=jobs, cache=cache)
 
     return _run

@@ -4,7 +4,7 @@ The :class:`~repro.analysis.parallel.ResultCache` tree is the *product*
 every subsystem funnels through — sweeps, fuzz campaigns, shard merges and
 the perf gate all read and write ``<root>/<key[:2]>/<key>.json`` entries.
 This module adds the storage-layer features that turn the bag of JSON files
-into a served resource:
+into a managed resource:
 
 * :class:`CacheIndex` — per-entry metadata (cell kind, payload schema,
   size, created / last-hit timestamps, a small decoded summary) kept in one
@@ -34,7 +34,7 @@ That asymmetry is what makes the multi-writer story simple:
   toward keeping entries whose updates were observed and never removes an
   entry whose recorded last-hit is newer than the cutoff.
 
-See the "Serving cached results" guide in EXPERIMENTS.md for the policy
+See the "Managing the result cache" guide in EXPERIMENTS.md for the policy
 discussion and the shard-merge/multi-writer contract.
 """
 
@@ -156,7 +156,7 @@ class CacheIndex:
 
     All mutation goes through :meth:`record_put` / :meth:`record_hit`
     (buffered) and :meth:`flush` (atomic read-merge-write), so any number
-    of threads — e.g. ``repro serve`` handler threads — share one instance,
+    of threads share one instance,
     and any number of *processes* share the on-disk file under the advisory
     semantics described in the module docstring.
 

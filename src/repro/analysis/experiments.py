@@ -30,7 +30,7 @@ content-addressed on-disk cache in ``benchmarks/results/cache/`` when a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.metrics import add_summary_row, gmean, normalize_to_baseline
 from repro.analysis.parallel import MatrixExecutor, ResultCache
@@ -67,10 +67,10 @@ class ExperimentRunner:
             ``REPRO_JOBS`` env var → ``os.cpu_count()``; ``1`` is serial).
         cache: optional on-disk :class:`ResultCache`; when supplied,
             previously simulated cells are served from disk.
-        backend: execution-backend name or instance forwarded to the
-            :class:`MatrixExecutor` (``local``/``batched``/``shard``; see
-            :mod:`repro.analysis.backends`).  With a shard backend,
-            ``run_all`` fills in only the cells of that shard.
+        shard: ``(index, count)`` forwarded to the :class:`MatrixExecutor`
+            (``None`` resolves ``REPRO_SHARD``; see
+            :mod:`repro.analysis.shard`).  When sharded, ``run_all`` fills
+            in only the cells of that shard.
     """
 
     def __init__(
@@ -82,7 +82,7 @@ class ExperimentRunner:
         max_cycles: int = 200_000_000,
         jobs: Optional[int] = None,
         cache: Optional[ResultCache] = None,
-        backend=None,
+        shard: Optional[Tuple[int, int]] = None,
     ) -> None:
         self.system_config = system_config or SystemConfig().scaled(num_cores=8)
         self.protocols = list(protocols) if protocols else list(PAPER_CONFIGURATIONS)
@@ -92,7 +92,7 @@ class ExperimentRunner:
         self.baseline = self.protocols[0]
         self.executor = MatrixExecutor(self.system_config, scale=scale,
                                        max_cycles=max_cycles, jobs=jobs,
-                                       cache=cache, backend=backend)
+                                       cache=cache, shard=shard)
         # protocol -> workload -> SystemStats (in-memory memo on top of the
         # executor's on-disk cache)
         self.results: Dict[str, Dict[str, SystemStats]] = {}

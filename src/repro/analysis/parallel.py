@@ -9,12 +9,11 @@ parallel.  This module provides the execution subsystem underneath
   inputs (a :class:`~repro.sim.config.SystemConfig` plus names/scalars) and
   returns the JSON-serializable ``SystemStats.to_dict()`` payload.  This is
   the function shipped to worker processes.
-* :class:`MatrixExecutor` — resolves cells through the cache and hands the
-  misses to a pluggable **execution backend**
-  (:mod:`repro.analysis.backends`: ``local`` process pool, ``batched``
-  per-worker chunks, ``shard`` for multi-machine partitioning), then
-  reassembles :class:`~repro.sim.stats.SystemStats` objects on the parent
-  side.  Worker count comes from ``jobs``, the ``REPRO_JOBS`` environment
+* :class:`MatrixExecutor` — serves cells from the cache, keeps only its
+  shard's misses when sharded (:mod:`repro.analysis.shard`), and runs them
+  inline or one cell per submission on a process pool, then reassembles
+  :class:`~repro.sim.stats.SystemStats` objects on the parent side.
+  Worker count comes from ``jobs``, the ``REPRO_JOBS`` environment
   variable, or ``os.cpu_count()``.
 * :class:`ResultCache` — a content-addressed on-disk cache (default location
   ``benchmarks/results/cache/``).  The key is the SHA-256 of the canonical
@@ -36,10 +35,12 @@ import json
 import os
 import sys
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
                     Tuple, Union)
 
+from repro.analysis.shard import resolve_shard, shard_of_key
 from repro.sim.config import SystemConfig
 from repro.sim.stats import STATS_SCHEMA_VERSION, SystemStats
 
@@ -147,7 +148,7 @@ class CellKind:
     """What one matrix cell *computes* — the work function and its payload
     contract.
 
-    The executor/backend/cache machinery is agnostic to what a cell
+    The executor/shard/cache machinery is agnostic to what a cell
     produces: a kind bundles the picklable module-level ``simulate``
     function shipped to workers, the ``decode`` that reconstructs a result
     object from a cached JSON payload, and the payload ``schema`` version
@@ -242,18 +243,26 @@ class WorkloadValidationError(AssertionError):
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
     """Resolve a worker count: explicit ``jobs``, else ``REPRO_JOBS``,
-    else ``os.cpu_count()`` (minimum 1)."""
+    else ``os.cpu_count()``.
+
+    Raises:
+        ValueError: if ``jobs`` or ``REPRO_JOBS`` is not a positive
+            integer (the message names which one).
+    """
+    source = "--jobs"
     if jobs is None:
         env = os.environ.get("REPRO_JOBS", "").strip()
-        if env:
-            try:
-                jobs = int(env)
-            except ValueError:
-                raise ValueError(
-                    f"REPRO_JOBS must be an integer, got {env!r}") from None
-        else:
-            jobs = os.cpu_count() or 1
-    return max(1, int(jobs))
+        if not env:
+            return os.cpu_count() or 1
+        source = "REPRO_JOBS"
+        try:
+            jobs = int(env)
+        except ValueError:
+            raise ValueError(
+                f"REPRO_JOBS must be an integer, got {env!r}") from None
+    if jobs < 1:
+        raise ValueError(f"{source} must be >= 1, got {jobs}")
+    return int(jobs)
 
 
 def cell_key(config: SystemConfig, protocol: str, workload_name: str,
@@ -265,7 +274,7 @@ def cell_key(config: SystemConfig, protocol: str, workload_name: str,
     The key is host-independent — a pure function of the experiment inputs
     and the schema versions — which is what makes both the on-disk cache
     shareable across machines and the shard planner
-    (:mod:`repro.analysis.backends.shard`) coordinator-free.  Non-default
+    (:mod:`repro.analysis.shard`) coordinator-free.  Non-default
     cell kinds mix their name and payload schema into the key (the default
     ``"stats"`` kind leaves the key payload exactly as it has always been,
     so every pre-existing cache entry and shard assignment stays valid).
@@ -338,7 +347,7 @@ def payload_is_current(payload: object) -> bool:
     """Whether a cache-entry payload is valid for its own cell kind: the
     ``"kind"`` field (default ``"stats"``) must name a registered kind and
     the ``"schema"`` field must match that kind's payload schema.  Shared
-    by :meth:`ResultCache.get` and the shard merge/completeness checks."""
+    by the report reader and the shard merge/completeness checks."""
     if not isinstance(payload, dict):
         return False
     kind = payload.get("kind", "stats")
@@ -417,16 +426,6 @@ class ResultCache:
         """Return the cached payload for ``key``, or ``None``.  ``schema``
         is the expected payload schema version (the cell kind's; defaults
         to the stats schema)."""
-        return self._read(key, schema=schema)
-
-    def get_any(self, key: str) -> Optional[Dict[str, object]]:
-        """Kind-agnostic lookup: validate the payload against its *own*
-        declared kind (:func:`payload_is_current`) instead of a
-        caller-supplied schema.  This is the ``repro serve`` by-key path,
-        where the key alone does not say which kind produced the entry."""
-        return self._read(key, schema=None)
-
-    def _read(self, key: str, schema: Optional[int]) -> Optional[Dict[str, object]]:
         if not self.enabled:
             return None
         path = self.path(key)
@@ -437,10 +436,7 @@ class ResultCache:
                 # "corrupt", only this exact file may be removed.
                 read_stat = os.fstat(handle.fileno())
                 payload = json.load(handle)
-            if schema is None:
-                if not payload_is_current(payload):
-                    raise ValueError("stale or unknown payload kind")
-            elif not isinstance(payload, dict) or payload.get("schema") != schema:
+            if not isinstance(payload, dict) or payload.get("schema") != schema:
                 raise ValueError("stale payload schema")
         except FileNotFoundError:
             self.misses += 1
@@ -522,18 +518,18 @@ class MatrixExecutor:
         jobs: worker-process count (``None`` → ``REPRO_JOBS`` env var →
             ``os.cpu_count()``).  ``1`` runs everything in-process.
         cache: optional :class:`ResultCache`; ``None`` disables persistence.
-        backend: how cache misses are executed — a registered backend name
-            (``local``, ``batched``, ``shard``), a
-            :class:`~repro.analysis.backends.Backend` instance, or ``None``
-            (``REPRO_BACKEND`` env var → ``local``).  A shard backend
-            executes only its own subset of the cells; see
-            :mod:`repro.analysis.backends`.
+        shard: ``(index, count)`` — simulate only the cache misses whose
+            key falls in that shard (:mod:`repro.analysis.shard`); ``None``
+            resolves ``REPRO_SHARD``, unsharded when that is unset.
         kind: the :class:`CellKind` this executor's cells compute (name or
-            instance; default ``"stats"``).  Backends execute through
+            instance; default ``"stats"``).  Cells run through
             ``kind.simulate``, cache entries validate against
             ``kind.schema``, and results decode through ``kind.decode`` —
             the execution/caching/sharding machinery is identical for
             every kind.
+        backend: compatibility shim for callers written against the
+            removed backend layer; only ``None`` or ``"local"`` (this
+            executor's one run loop) is accepted.
 
     Attributes:
         simulations_run: number of cells actually simulated (cache misses)
@@ -548,17 +544,20 @@ class MatrixExecutor:
         max_cycles: int = 200_000_000,
         jobs: Optional[int] = None,
         cache: Optional[ResultCache] = None,
-        backend: Union[None, str, "Backend"] = None,
+        shard: Optional[Tuple[int, int]] = None,
         kind: Union[str, CellKind] = "stats",
+        backend: Optional[str] = None,
     ) -> None:
-        from repro.analysis.backends import resolve_backend
-
+        if backend not in (None, "local"):
+            raise ValueError(
+                f"unknown backend {backend!r}; cells run inline or on a "
+                f"local process pool, so only 'local' is accepted")
         self.system_config = system_config
         self.scale = scale
         self.max_cycles = max_cycles
         self.jobs = resolve_jobs(jobs)
         self.cache = cache
-        self.backend = resolve_backend(backend)
+        self.shard = resolve_shard(*shard) if shard is not None else resolve_shard()
         self.kind = get_cell_kind(kind)
         self.simulations_run = 0
 
@@ -576,35 +575,52 @@ class MatrixExecutor:
         if self.cache is not None and key is not None:
             self.cache.put(key, payload)
 
+    def _owns(self, protocol: str, workload_name: str,
+              key: Optional[str]) -> bool:
+        """Whether this executor's shard simulates the cell."""
+        if self.shard is None:
+            return True
+        # A disabled cache leaves keys unset; the assignment needs them
+        # regardless, and computing one is pure and cheap.
+        key = key or cell_key(self.system_config, protocol, workload_name,
+                              self.scale, self.max_cycles, kind=self.kind)
+        return shard_of_key(key, self.shard[1]) == self.shard[0]
+
+    def _not_executed(self, protocol: str, workload_name: str) -> KeyError:
+        index, count = self.shard
+        return KeyError(
+            f"cell ({protocol!r}, {workload_name!r}) was not executed: it "
+            f"belongs to another shard than {index}/{count} (sharded run?)")
+
     # ------------------------------------------------------------------ running
 
     def run_cell(self, workload_name: str, protocol: str) -> SystemStats:
         """Run (or fetch from cache) a single cell.
 
         Raises:
-            KeyError: if the backend declined the cell (a shard backend
-                only executes its own shard).
+            KeyError: if the cell belongs to another shard.
         """
         results = self.run_cells([(protocol, workload_name)])
         try:
             return results[(protocol, workload_name)]
         except KeyError:
-            raise KeyError(
-                f"cell ({protocol!r}, {workload_name!r}) was not executed "
-                f"by the {self.backend.name!r} backend (sharded run?)"
-            ) from None
+            raise self._not_executed(protocol, workload_name) from None
 
     def run_cells(
         self, cells: Sequence[Tuple[str, str]]
     ) -> Dict[Tuple[str, str], SystemStats]:
         """Run many ``(protocol, workload)`` cells, parallelizing the misses.
 
-        Cached cells are served from disk; the remainder are handed to the
-        execution backend (the default ``local`` backend fans them out over
-        a process pool, or runs inline when ``jobs == 1`` or only one cell
-        is missing).  Returns a dict keyed by the ``(protocol, workload)``
-        pair; a shard backend executes — and returns — only the cells of
-        its shard.
+        Cached cells are served from disk; of the rest, a sharded executor
+        keeps only its own shard's cells.  Those run inline when
+        ``jobs == 1`` or only one is pending, and otherwise one cell per
+        submission on a process pool.  Returns a dict keyed by the
+        ``(protocol, workload)`` pair.
+
+        Raises:
+            WorkloadValidationError: the first cell that failed
+                validation — raised only after every other pending cell
+                ran and its result was cached.
         """
         results: Dict[Tuple[str, str], SystemStats] = {}
         pending: List[Tuple[str, str, Optional[str]]] = []
@@ -612,25 +628,50 @@ class MatrixExecutor:
             key, payload = self._lookup(protocol, workload_name)
             if payload is not None:
                 results[(protocol, workload_name)] = self.kind.decode(payload)
-            else:
+            elif self._owns(protocol, workload_name, key):
                 pending.append((protocol, workload_name, key))
 
-        if not pending:
-            if self.cache is not None:
-                self.cache.flush_index()
-            return results
+        failure: Optional[WorkloadValidationError] = None
 
+        def settle(cell, compute) -> None:
+            nonlocal failure
+            try:
+                payload = compute()
+            except WorkloadValidationError as exc:
+                failure = failure or exc
+                return
+            self.simulations_run += 1
+            self._store(cell[2], payload)
+            results[cell[:2]] = self.kind.decode(payload)
+
+        simulate = self.kind.simulate
+        args = (self.scale, self.max_cycles)
         try:
-            for (protocol, workload_name, key), payload in \
-                    self.backend.run(self, pending):
-                self.simulations_run += 1
-                self._store(key, payload)
-                results[(protocol, workload_name)] = self.kind.decode(payload)
+            if self.jobs == 1 or len(pending) == 1:
+                for cell in pending:
+                    settle(cell, partial(simulate, self.system_config,
+                                         cell[0], cell[1], *args))
+            elif pending:
+                # Imported here so the inline path never loads multiprocessing.
+                from concurrent.futures import ProcessPoolExecutor, as_completed
+
+                workers = min(self.jobs, len(pending))
+                with ProcessPoolExecutor(max_workers=workers) as pool:
+                    futures = {
+                        pool.submit(simulate, self.system_config, protocol,
+                                    workload_name, *args):
+                        (protocol, workload_name, key)
+                        for protocol, workload_name, key in pending
+                    }
+                    for future in as_completed(futures):
+                        settle(futures[future], future.result)
         finally:
             # Index records buffered by put/get must survive a failing cell
             # (the valid siblings were cached; their metadata should be too).
             if self.cache is not None:
                 self.cache.flush_index()
+        if failure is not None:
+            raise failure
         return results
 
     def run_matrix(
@@ -639,7 +680,7 @@ class MatrixExecutor:
         """Run the full cross product and return ``{protocol: {workload: stats}}``.
 
         Raises:
-            KeyError: if the backend declined any cell — a full matrix
+            KeyError: if any cell belongs to another shard — a full matrix
                 cannot be assembled from a sharded run.
         """
         protocols = list(protocols)
@@ -652,9 +693,5 @@ class MatrixExecutor:
                 try:
                     matrix[protocol][workload_name] = flat[(protocol, workload_name)]
                 except KeyError:
-                    raise KeyError(
-                        f"cell ({protocol!r}, {workload_name!r}) was not "
-                        f"executed by the {self.backend.name!r} backend "
-                        f"(sharded run?); run_matrix needs every cell"
-                    ) from None
+                    raise self._not_executed(protocol, workload_name) from None
         return matrix

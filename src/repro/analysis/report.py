@@ -1,7 +1,7 @@
 """Declarative reporting/aggregation over the content-addressed result cache.
 
-After a sweep or fuzz campaign has populated the cache (locally, via CI
-shards, or through ``repro serve``), this module answers the cross-run
+After a sweep or fuzz campaign has populated the cache (locally or via
+merged CI shards), this module answers the cross-run
 questions the per-invocation tables cannot: *aggregate every cached cell
 matching a filter, normalize against a named baseline variant, render
 dashboards, and diff two cache snapshots cell by cell*.
@@ -309,7 +309,7 @@ class SpecReport:
         """Aggregate whatever the cache holds for ``spec`` — a pure read
         (never simulates, never mutates the tree); absent or invalid
         entries leave holes reported as ``—``."""
-        from repro.analysis.backends.shard import plan_sweep
+        from repro.analysis.shard import plan_sweep
 
         root = _cache_root(cache)
         kind = get_cell_kind(getattr(spec, "cell_kind", "stats"))

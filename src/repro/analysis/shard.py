@@ -11,11 +11,11 @@ assignment, the N shards are disjoint by construction, and together they
 cover every cell exactly once.  (Assignment is hash-uniform, not balanced:
 tiny cell lists can shard unevenly, and a shard may legitimately be empty.)
 
-Three pieces build on that function:
+Sharding is data, not an execution strategy: a shard is an ``(index,
+count)`` pair (:func:`resolve_shard`) handed to
+:class:`~repro.analysis.parallel.MatrixExecutor`, which simulates only the
+cache misses its shard owns.  Built on the same function:
 
-* :class:`ShardBackend` — a :class:`~repro.analysis.backends.Backend` that
-  filters the pending cells down to one shard and delegates execution to an
-  inner backend (``local`` by default).
 * :func:`plan_sweep` / :class:`ShardPlan` — expands a
   :class:`~repro.analysis.sweeps.SweepSpec` into per-shard **manifests**
   (JSON cell lists with their keys) for inspection or for driving CI
@@ -30,13 +30,10 @@ See the "Sharding a sweep across machines/CI" guide in EXPERIMENTS.md.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
-                    Tuple, Union)
-
-from repro.analysis.backends import (Backend, CellResult, PendingCell,
-                                     register_backend, resolve_shard)
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 
 def shard_of_key(key: str, shard_count: int) -> int:
@@ -47,50 +44,37 @@ def shard_of_key(key: str, shard_count: int) -> int:
     return int(key, 16) % shard_count
 
 
-@register_backend
-class ShardBackend(Backend):
-    """Execute only the cells of one shard; delegate to an inner backend.
+def resolve_shard(shard_index: Optional[int] = None,
+                  shard_count: Optional[int] = None,
+                  ) -> Optional[Tuple[int, int]]:
+    """Resolve shard coordinates: explicit arguments, else the
+    ``REPRO_SHARD`` environment variable (``<index>/<count>``), else
+    ``None`` (unsharded).
 
-    Args:
-        shard_index: this invocation's shard, in ``[0, shard_count)``.
-        shard_count: total number of shards the cell list is split into.
-        inner: backend that executes the shard's cells
-            (default: :class:`~repro.analysis.backends.local.LocalBackend`).
+    Raises:
+        ValueError: on a half-specified pair, a malformed ``REPRO_SHARD``,
+            or an index outside ``[0, count)``.
     """
-
-    name = "shard"
-
-    def __init__(self, shard_index: int, shard_count: int,
-                 inner: Optional[Backend] = None) -> None:
-        resolved = resolve_shard(shard_index, shard_count)
-        assert resolved is not None
-        self.shard_index, self.shard_count = resolved
-        if inner is None:
-            from repro.analysis.backends.local import LocalBackend
-            inner = LocalBackend()
-        if isinstance(inner, ShardBackend):
-            raise ValueError("shard backends do not nest")
-        self.inner = inner
-
-    def owns(self, key: str) -> bool:
-        """Whether this shard executes the cell with cache key ``key``."""
-        return shard_of_key(key, self.shard_count) == self.shard_index
-
-    def run(self, executor, pending: List[PendingCell]) -> Iterator[CellResult]:
-        from repro.analysis.parallel import cell_key
-
-        mine = []
-        for protocol, workload_name, key in pending:
-            # A disabled cache leaves keys unset; the assignment needs them
-            # regardless, and computing one is pure and cheap.
-            resolved_key = key or cell_key(executor.system_config, protocol,
-                                           workload_name, executor.scale,
-                                           executor.max_cycles,
-                                           kind=executor.kind)
-            if self.owns(resolved_key):
-                mine.append((protocol, workload_name, key))
-        if mine:
-            yield from self.inner.run(executor, mine)
+    if shard_index is None and shard_count is None:
+        env = os.environ.get("REPRO_SHARD", "").strip()
+        if not env:
+            return None
+        try:
+            index_str, count_str = env.split("/")
+            shard_index, shard_count = int(index_str), int(count_str)
+        except ValueError:
+            raise ValueError(
+                f"REPRO_SHARD must look like '<index>/<count>' "
+                f"(e.g. '0/4'), got {env!r}") from None
+    if shard_index is None or shard_count is None:
+        raise ValueError(
+            "--shard-index and --shard-count must be given together")
+    if shard_count < 1:
+        raise ValueError(f"shard count must be >= 1, got {shard_count}")
+    if not 0 <= shard_index < shard_count:
+        raise ValueError(
+            f"shard index {shard_index} outside [0, {shard_count})")
+    return shard_index, shard_count
 
 
 # ---------------------------------------------------------------------- planning

@@ -215,7 +215,7 @@ class SweepSpec:
 
     def run(self, jobs: Optional[int] = None,
             cache: Optional[ResultCache] = None,
-            backend=None) -> "SweepResult":
+            shard: Optional[Tuple[int, int]] = None) -> "SweepResult":
         """Expand and execute every cell through the cached, parallel
         :class:`MatrixExecutor` (one executor per platform point, since the
         platform configuration and scale are part of the cache key).
@@ -223,9 +223,9 @@ class SweepSpec:
         Args:
             jobs: worker-process count per platform point.
             cache: optional on-disk result cache shared by every cell.
-            backend: execution-backend name or instance forwarded to the
-                :class:`MatrixExecutor` (see :mod:`repro.analysis.backends`).
-                A shard backend executes only its own subset of the cells,
+            shard: ``(index, count)`` forwarded to the
+                :class:`MatrixExecutor` (``None`` resolves ``REPRO_SHARD``).
+                A sharded run simulates only its own subset of the cells,
                 leaving the :class:`SweepResult` partial
                 (``SweepResult.complete`` is ``False``).
 
@@ -234,8 +234,6 @@ class SweepSpec:
             WorkloadValidationError: if any cell produces functionally
                 invalid results (protocol correctness bug).
         """
-        from repro.analysis.backends import resolve_backend
-
         known = set(list_protocol_names())
         missing = [p for p in self.protocols if p not in known]
         if missing:
@@ -243,7 +241,6 @@ class SweepSpec:
                 f"sweep {self.name!r} references unregistered protocols: "
                 f"{', '.join(missing)}"
             )
-        backend = resolve_backend(backend)
         workloads = self.resolved_workloads()
         stats: Dict[Tuple[str, str, int, float], SystemStats] = {}
         simulations = 0
@@ -255,7 +252,7 @@ class SweepSpec:
                     max_cycles=self.max_cycles,
                     jobs=jobs,
                     cache=cache,
-                    backend=backend,
+                    shard=shard,
                 )
                 cell_stats = executor.run_cells(
                     [(protocol, workload)
@@ -272,7 +269,7 @@ class SweepSpec:
 class SweepResult:
     """Executed sweep: per-cell statistics plus tabulation helpers.
 
-    A sharded execution (``SweepSpec.run(backend=ShardBackend(...))``)
+    A sharded execution (``SweepSpec.run(shard=(index, count))``)
     yields a *partial* result: ``stats`` holds only the shard's cells (plus
     whatever the cache already had).  ``complete`` distinguishes the two;
     the per-mix aggregations refuse to sum over holes.
@@ -296,7 +293,7 @@ class SweepResult:
 
     def cell_rows(self) -> List[Dict[str, object]]:
         """One row per *executed* cell with every metric of the spec
-        (cells a shard backend skipped are simply absent)."""
+        (cells of other shards are simply absent)."""
         rows: List[Dict[str, object]] = []
         for cores, scale, protocol, workload in self.spec.cells():
             cell = self.stats.get((protocol, workload, cores, scale))

@@ -32,7 +32,6 @@ Exposes the most common operations without writing Python::
     python -m repro cache ls --kind fuzz --limit 20
     python -m repro cache verify                     # index vs tree (exit 1 on drift)
     python -m repro cache gc --max-bytes 256M --max-age 7d
-    python -m repro serve --port 8080 --queue simulate
 
 Every sub-command prints a plain-text table (the same renderers the
 benchmark harness uses) and exits non-zero if a correctness check fails
@@ -40,13 +39,12 @@ benchmark harness uses) and exits non-zero if a correctness check fails
 
 The experiment commands (``run``, ``figure``, ``sweep``) fan independent
 simulations out over worker processes (``--jobs``, default from
-``REPRO_JOBS`` or the CPU count) through a pluggable execution backend
-(``--backend`` / ``REPRO_BACKEND``: ``local``, ``batched`` or ``shard``
-with ``--shard-index``/``--shard-count`` / ``REPRO_SHARD``), and reuse
-previously simulated cells from the on-disk result cache in
-``benchmarks/results/cache/`` unless ``--no-cache`` is given.  The
-``shard`` sub-command plans, runs and merges multi-machine/CI shards of a
-registered sweep; see EXPERIMENTS.md.
+``REPRO_JOBS`` or the CPU count), and reuse previously simulated cells
+from the on-disk result cache in ``benchmarks/results/cache/`` unless
+``--no-cache`` is given.  ``run``, ``sweep`` and ``fuzz run`` can run one
+shard of their cells (``--shard-index``/``--shard-count`` or
+``REPRO_SHARD``); the ``shard`` sub-command plans, runs and merges
+multi-machine/CI shards of a registered sweep; see EXPERIMENTS.md.
 """
 
 from __future__ import annotations
@@ -58,17 +56,15 @@ import time
 from pathlib import Path
 from typing import List, Optional
 
-from repro.analysis.backends import (ShardBackend, list_backend_names,
-                                     make_backend, merge_results,
-                                     missing_cells, plan_sweep,
-                                     resolve_backend, resolve_shard)
 from repro.analysis.cache_index import CacheIndex, collect_garbage
 from repro.analysis.experiments import ExperimentRunner
 from repro.analysis.parallel import (DEFAULT_CACHE_DIR, ResultCache,
                                      WorkloadValidationError,
-                                     _default_results_root)
+                                     _default_results_root, resolve_jobs)
 from repro.analysis.report import (SpecReport, diff_snapshots, gather_cells,
                                    render_dashboard, render_table)
+from repro.analysis.shard import (merge_results, missing_cells, plan_sweep,
+                                  resolve_shard)
 from repro.analysis.sweeps import SWEEPS, SweepSpec, get_sweep, list_sweeps
 from repro.analysis.tables import format_series_table, format_table, protocol_rows
 from repro.consistency import canonical_tests, generate_random_test, verify_litmus
@@ -121,32 +117,6 @@ def _make_cache(args: argparse.Namespace) -> ResultCache:
     return ResultCache(Path(args.cache_dir), enabled=not args.no_cache)
 
 
-def _make_backend(args: argparse.Namespace):
-    """Build the execution backend from ``--backend`` and the shard flags.
-
-    Returns a backend specification for ``MatrixExecutor``/``SweepSpec.run``
-    (an instance, a name, or ``None`` to defer to ``REPRO_BACKEND``).
-    Explicit shard coordinates wrap the chosen backend — flag, else
-    ``REPRO_BACKEND``, else ``local`` — in a :class:`ShardBackend`.
-
-    Raises:
-        ValueError: on half-specified shard coordinates or ``--backend
-            shard`` without resolvable coordinates.
-        KeyError: on an unknown ``REPRO_BACKEND`` name.
-    """
-    name = getattr(args, "backend", None)
-    shard = resolve_shard(getattr(args, "shard_index", None),
-                          getattr(args, "shard_count", None))
-    if shard is not None:
-        return ShardBackend(*shard,
-                            inner=resolve_backend(name, wrap_shard=False))
-    if name == "shard":
-        # No explicit coordinates; make_backend falls back to REPRO_SHARD
-        # and raises a clear error when that is unset too.
-        return make_backend("shard")
-    return name
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     protocols = args.protocol or ["MESI", "TSO-CC-4-12-3"]
     try:
@@ -159,9 +129,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(exc.args[0] if exc.args else exc, file=sys.stderr)
         return 2
     try:
-        # Backend resolution can also fail inside the executor (env-driven
-        # selection: REPRO_BACKEND/REPRO_SHARD), so construction is guarded
-        # too; KeyError is an unknown backend name.
         runner = ExperimentRunner(
             system_config=SystemConfig().scaled(num_cores=args.cores),
             protocols=protocols,
@@ -170,10 +137,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
             max_cycles=args.max_cycles,
             jobs=args.jobs,
             cache=_make_cache(args),
-            backend=_make_backend(args),
+            shard=resolve_shard(args.shard_index, args.shard_count),
         )
-    except (ValueError, KeyError) as exc:
-        print(exc.args[0] if exc.args else exc, file=sys.stderr)
+    except ValueError as exc:
+        # Bad shard coordinates (flags or REPRO_SHARD).
+        print(exc, file=sys.stderr)
         return 2
     try:
         runner.run_all()
@@ -185,7 +153,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     for protocol in protocols:
         stats = runner.results.get(protocol, {}).get(workload_name)
         if stats is None:
-            # A shard backend only executes the cells of its shard.
+            # A sharded run only executes the cells of its shard.
             skipped.append(protocol)
             continue
         summary = stats.summary()
@@ -213,19 +181,17 @@ def _cmd_figure(args: argparse.Namespace) -> int:
             scale=args.scale,
             jobs=args.jobs,
             cache=_make_cache(args),
-            backend=getattr(args, "backend", None),
         )
-    except (ValueError, KeyError) as exc:
-        # Bad backend selection (e.g. REPRO_BACKEND=shard without
-        # coordinates, or an unknown backend name).
-        print(exc.args[0] if exc.args else exc, file=sys.stderr)
+    except ValueError as exc:
+        # A malformed REPRO_SHARD.
+        print(exc, file=sys.stderr)
         return 2
-    if isinstance(runner.executor.backend, ShardBackend):
+    if runner.executor.shard is not None:
         # A figure needs every cell of its matrix; refuse up front instead
         # of simulating one shard and crashing on the first missing cell.
         print("repro figure needs the full matrix and cannot run sharded; "
-              "unset REPRO_SHARD or drop --backend shard (shard a sweep "
-              "with 'repro shard run' instead)", file=sys.stderr)
+              "unset REPRO_SHARD (shard a sweep with 'repro shard run' "
+              "instead)", file=sys.stderr)
         return 2
     methods = {
         "2": runner.figure2_storage,
@@ -295,10 +261,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         return 0
     cache = _make_cache(args)
     try:
-        backend = _make_backend(args)
-        result = spec.run(jobs=args.jobs, cache=cache, backend=backend)
+        shard = resolve_shard(args.shard_index, args.shard_count)
+        result = spec.run(jobs=args.jobs, cache=cache, shard=shard)
     except ValueError as exc:
-        # Bad backend/shard flags.
+        # Bad shard flags.
         print(exc, file=sys.stderr)
         return 2
     except KeyError as exc:
@@ -402,14 +368,12 @@ def _cmd_shard_run(args: argparse.Namespace) -> int:
             raise ValueError(
                 "shard run needs --shard-index/--shard-count "
                 "or REPRO_SHARD=<index>/<count>")
-        backend = ShardBackend(
-            *shard, inner=resolve_backend(args.backend, wrap_shard=False))
     except (KeyError, ValueError) as exc:
         print(exc.args[0] if exc.args else exc, file=sys.stderr)
         return 2
     try:
         result = spec.run(jobs=args.jobs, cache=_make_cache(args),
-                          backend=backend)
+                          shard=shard)
     except KeyError as exc:
         # Unregistered protocol names that slipped past the subset check.
         print(exc.args[0], file=sys.stderr)
@@ -723,13 +687,13 @@ def _cmd_fuzz_cells(args: argparse.Namespace) -> int:
 def _cmd_fuzz_run(args: argparse.Namespace) -> int:
     try:
         spec = _fuzz_spec(args)
-        backend = _make_backend(args)
+        shard = resolve_shard(args.shard_index, args.shard_count)
     except (KeyError, ValueError) as exc:
         print(exc.args[0] if exc.args else exc, file=sys.stderr)
         return 2
     try:
         result = spec.run(jobs=args.jobs, cache=_make_cache(args),
-                          backend=backend)
+                          shard=shard)
     except (KeyError, ValueError) as exc:
         print(exc.args[0] if exc.args else exc, file=sys.stderr)
         return 2
@@ -1034,38 +998,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     return handlers[args.cache_command](args)
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.analysis.serve import build_server, make_queue
-
-    cache = ResultCache(Path(args.cache_dir))
-    try:
-        work_queue = make_queue(args.queue, cache, jobs=args.jobs or 1)
-        server = build_server(cache, host=args.host, port=args.port,
-                              work_queue=work_queue, verbose=args.verbose)
-    except (KeyError, OSError) as exc:
-        print(exc.args[0] if exc.args else exc, file=sys.stderr)
-        return 2
-    host, port = server.server_address[:2]
-    print(f"serving result cache {cache.root} at http://{host}:{port} "
-          f"(queue: {work_queue.name}); Ctrl-C to stop", flush=True)
-    # SIGTERM (CI teardown, containers, plain `kill`) gets the same clean
-    # shutdown as Ctrl-C: stop accepting, drain workers, flush the index.
-    import signal
-
-    def _terminate(signum, frame):
-        raise KeyboardInterrupt
-
-    previous = signal.signal(signal.SIGTERM, _terminate)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        signal.signal(signal.SIGTERM, previous)
-        server.server_close()
-    return 0
-
-
 def _trace_directory(args: argparse.Namespace) -> Path:
     if getattr(args, "trace_dir", None):
         return Path(args.trace_dir)
@@ -1270,19 +1202,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_executor_flags(command: argparse.ArgumentParser,
-                           backend_choices: Optional[List[str]] = None) -> None:
+    def add_executor_flags(command: argparse.ArgumentParser) -> None:
         command.add_argument("--jobs", type=int, default=None,
                              help="worker processes (default: REPRO_JOBS or CPU count)")
         command.add_argument("--no-cache", action="store_true",
                              help="ignore and do not update the on-disk result cache")
         command.add_argument("--cache-dir", default=str(DEFAULT_CACHE_DIR),
                              help="result cache directory (default: benchmarks/results/cache)")
-        command.add_argument("--backend",
-                             choices=backend_choices or list_backend_names(),
-                             default=None,
-                             help="execution backend (default: REPRO_BACKEND "
-                                  "or local)")
 
     def add_shard_flags(command: argparse.ArgumentParser) -> None:
         command.add_argument("--shard-index", type=int, default=None,
@@ -1387,8 +1313,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 "timestamp-bits; see 'repro sweep --list')")
     add_shard_flags(shard_run)
     add_axis_overrides(shard_run)
-    # The inner backend executes the shard's cells; 'shard' cannot nest.
-    add_executor_flags(shard_run, backend_choices=["local", "batched"])
+    add_executor_flags(shard_run)
 
     shard_merge = shard_sub.add_parser(
         "merge",
@@ -1636,27 +1561,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="report what would be removed without "
                                "touching the tree")
 
-    serve = sub.add_parser(
-        "serve",
-        help="serve the result cache over HTTP: hit -> payload, "
-             "miss -> 202 + pluggable work queue")
-    serve.add_argument("--host", default="127.0.0.1",
-                       help="bind address (default: 127.0.0.1)")
-    serve.add_argument("--port", type=int, default=8321,
-                       help="TCP port; 0 picks a free one (default: 8321)")
-    serve.add_argument("--cache-dir", default=str(DEFAULT_CACHE_DIR),
-                       help="result cache root "
-                            "(default: benchmarks/results/cache)")
-    serve.add_argument("--queue", choices=["null", "simulate"],
-                       default="null",
-                       help="what happens to misses: count only (null) or "
-                            "simulate in background workers (simulate)")
-    serve.add_argument("--jobs", type=int, default=None,
-                       help="background simulation workers for "
-                            "--queue simulate (default: 1)")
-    serve.add_argument("--verbose", action="store_true",
-                       help="log one line per HTTP request")
-
     trace = sub.add_parser(
         "trace",
         help="capture, replay and inspect instruction-stream traces")
@@ -1768,11 +1672,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         "litmus": _cmd_litmus,
         "fuzz": _cmd_fuzz,
         "cache": _cmd_cache,
-        "serve": _cmd_serve,
         "trace": _cmd_trace,
         "suites": _cmd_suites,
         "bench": _cmd_bench,
     }
+    if hasattr(args, "jobs"):
+        # Reject a non-positive --jobs / REPRO_JOBS before any work starts.
+        try:
+            resolve_jobs(args.jobs)
+        except ValueError as exc:
+            print(exc, file=sys.stderr)
+            return 2
     if args.command == "bench":
         from repro.perf.gate import DEFAULT_TOLERANCE
         from repro.perf.harness import CURRENT_BENCH_ID

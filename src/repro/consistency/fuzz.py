@@ -220,8 +220,8 @@ class FuzzCellResult:
         )
 
 
-#: The fuzz conformance cell kind: registered so the executor, every
-#: backend and the shard planner treat campaign cells like any other.
+#: The fuzz conformance cell kind: registered so the executor and the
+#: shard planner treat campaign cells like any other.
 FUZZ_CELL_KIND = register_cell_kind(CellKind(
     name="fuzz",
     simulate=simulate_fuzz_cell,
@@ -286,7 +286,7 @@ class FuzzCampaign:
     max_cycles: int = 5_000_000
 
     #: Cell kind this spec's cells compute — consumed by the executor and
-    #: by :func:`~repro.analysis.backends.plan_sweep`.
+    #: by :func:`~repro.analysis.shard.plan_sweep`.
     cell_kind = "fuzz"
 
     def __post_init__(self) -> None:
@@ -389,7 +389,7 @@ class FuzzCampaign:
 
     def run(self, jobs: Optional[int] = None,
             cache: Optional[ResultCache] = None,
-            backend=None) -> "CampaignResult":
+            shard: Optional[Tuple[int, int]] = None) -> "CampaignResult":
         """Expand and execute every cell through the cached, parallel
         :class:`MatrixExecutor` (one executor per platform point).
 
@@ -401,14 +401,13 @@ class FuzzCampaign:
         Args:
             jobs: worker-process count.
             cache: optional on-disk result cache shared by every cell.
-            backend: execution-backend name or instance (a shard backend
-                executes only its own subset; ``CampaignResult.complete``
-                is then ``False``).
+            shard: ``(index, count)``; ``None`` resolves ``REPRO_SHARD``.
+                A sharded run simulates only its own subset
+                (``CampaignResult.complete`` is then ``False``).
 
         Raises:
             KeyError: if a protocol name is not registered.
         """
-        from repro.analysis.backends import resolve_backend
         from repro.protocols.registry import list_protocol_names
 
         known = set(list_protocol_names())
@@ -418,7 +417,6 @@ class FuzzCampaign:
                 f"campaign {self.name!r} references unregistered protocols: "
                 f"{', '.join(missing)}"
             )
-        backend = resolve_backend(backend)
         by_cores: Dict[int, List[str]] = {}
         for cores, workload in self.workloads():
             by_cores.setdefault(cores, []).append(workload)
@@ -431,7 +429,7 @@ class FuzzCampaign:
                 max_cycles=self.max_cycles,
                 jobs=jobs,
                 cache=cache,
-                backend=backend,
+                shard=shard,
                 kind="fuzz",
             )
             results = executor.run_cells(

@@ -108,7 +108,7 @@ def _bench_ci_smoke(repeats: int) -> tuple:
     from repro.analysis.sweeps import CI_SMOKE_SWEEP
 
     def work() -> int:
-        CI_SMOKE_SWEEP.run(jobs=1, cache=None, backend="local")
+        CI_SMOKE_SWEEP.run(jobs=1, cache=None)
         return CI_SMOKE_SWEEP.num_cells
 
     return _median_rate(work, repeats)
@@ -136,7 +136,7 @@ def _bench_fuzz_smoke(repeats: int) -> tuple:
     campaign = FUZZ_SMOKE_CAMPAIGN.subset(num_seeds=_FUZZ_SEEDS)
 
     def work() -> int:
-        campaign.run(jobs=1, cache=None, backend="local")
+        campaign.run(jobs=1, cache=None)
         return campaign.num_cells
 
     return _median_rate(work, repeats)
@@ -161,15 +161,15 @@ def _bench_warm_cache(repeats: int, scratch: Path) -> tuple:
     from repro.analysis.sweeps import CI_SMOKE_SWEEP
 
     cache = ResultCache(root=scratch / "bench-cache")
-    CI_SMOKE_SWEEP.run(jobs=1, cache=cache, backend="local")  # populate
-    CI_SMOKE_SWEEP.run(jobs=1, cache=cache, backend="local")  # warmup
+    CI_SMOKE_SWEEP.run(jobs=1, cache=cache)  # populate
+    CI_SMOKE_SWEEP.run(jobs=1, cache=cache)  # warmup
     samples: List[float] = []
     with _gc_quiesced():
         for _ in range(max(1, repeats)):
             best = float("inf")
             for _ in range(_WARM_CACHE_PASSES):
                 start = time.perf_counter()
-                CI_SMOKE_SWEEP.run(jobs=1, cache=cache, backend="local")
+                CI_SMOKE_SWEEP.run(jobs=1, cache=cache)
                 elapsed = time.perf_counter() - start
                 if elapsed < best:
                     best = elapsed
@@ -228,7 +228,7 @@ def run_bench(
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "repeats": repeats,
         "pinned": {
-            "ci_smoke": "CI_SMOKE_SWEEP, jobs=1, no cache, local backend",
+            "ci_smoke": "CI_SMOKE_SWEEP, jobs=1, no cache",
             "litmus": (f"canonical_tests() on {_LITMUS_PROTOCOL}, "
                        f"iterations={_LITMUS_ITERATIONS}"),
             "fuzz_smoke": f"fuzz-smoke subset(num_seeds={_FUZZ_SEEDS})",
@@ -285,8 +285,7 @@ def _profile_work(metric: str, scratch: Path) -> Callable[[], int]:
     if metric == "ci_smoke_cells_per_sec":
         from repro.analysis.sweeps import CI_SMOKE_SWEEP
 
-        return lambda: (CI_SMOKE_SWEEP.run(jobs=1, cache=None,
-                                           backend="local"),
+        return lambda: (CI_SMOKE_SWEEP.run(jobs=1, cache=None),
                         CI_SMOKE_SWEEP.num_cells)[1]
     if metric == "litmus_tests_per_sec":
         from repro.consistency.litmus import canonical_tests
@@ -306,16 +305,15 @@ def _profile_work(metric: str, scratch: Path) -> Callable[[], int]:
         from repro.consistency.fuzz import FUZZ_SMOKE_CAMPAIGN
 
         campaign = FUZZ_SMOKE_CAMPAIGN.subset(num_seeds=_FUZZ_SEEDS)
-        return lambda: (campaign.run(jobs=1, cache=None, backend="local"),
+        return lambda: (campaign.run(jobs=1, cache=None),
                         campaign.num_cells)[1]
     if metric == "warm_cache_overhead_sec":
         from repro.analysis.parallel import ResultCache
         from repro.analysis.sweeps import CI_SMOKE_SWEEP
 
         cache = ResultCache(root=scratch / "profile-cache")
-        CI_SMOKE_SWEEP.run(jobs=1, cache=cache, backend="local")  # populate
-        return lambda: (CI_SMOKE_SWEEP.run(jobs=1, cache=cache,
-                                           backend="local"),
+        CI_SMOKE_SWEEP.run(jobs=1, cache=cache)  # populate
+        return lambda: (CI_SMOKE_SWEEP.run(jobs=1, cache=cache),
                         CI_SMOKE_SWEEP.num_cells)[1]
     raise ValueError(
         f"unknown metric {metric!r}; choose from {sorted(METRIC_DIRECTIONS)}")

@@ -3,8 +3,8 @@
 Four properties are load-bearing:
 
 * **Matrix citizenship** — fuzz cells flow through the same executor,
-  cache, backends and shard planner as paper cells: byte-identical
-  payloads across backends, zero re-simulation on a warm cache, disjoint
+  cache and shard planner as paper cells: byte-identical payloads inline
+  and on the process pool, zero re-simulation on a warm cache, disjoint
   shard cover, and corrupt-entry replacement on merge.
 * **Seeded determinism** — a campaign cell's generated op stream, cache
   key and verdict payload are pure functions of the encoded workload
@@ -25,9 +25,6 @@ from pathlib import Path
 import pytest
 
 import _mutant
-from repro.analysis.backends import (BatchedBackend, ShardBackend,
-                                     merge_results, missing_cells,
-                                     plan_sweep)
 from repro.analysis.parallel import (MatrixExecutor, ResultCache, cell_key,
                                      get_cell_kind, payload_is_current)
 from repro.cli import main
@@ -38,6 +35,7 @@ from repro.consistency.fuzz import (FUZZ_SCHEMA_VERSION, CampaignResult,
                                     parse_fuzz_workload, replay_cell,
                                     shrink_cell, shrink_test,
                                     simulate_fuzz_cell)
+from repro.analysis.shard import merge_results, missing_cells, plan_sweep
 from repro.consistency.litmus import generate_random_test
 from repro.sim.config import SystemConfig
 
@@ -45,9 +43,8 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(autouse=True)
-def _clean_backend_env(monkeypatch):
-    for var in ("REPRO_BACKEND", "REPRO_SHARD", "REPRO_BATCH_SIZE"):
-        monkeypatch.delenv(var, raising=False)
+def _clean_shard_env(monkeypatch):
+    monkeypatch.delenv("REPRO_SHARD", raising=False)
 
 
 def tiny_campaign(**overrides) -> FuzzCampaign:
@@ -197,17 +194,19 @@ def test_campaign_runs_caches_and_rehits(tmp_path):
 
 
 def test_campaign_payloads_identical_across_backends(tmp_path):
+    """Inline (``jobs=1``) and process-pool (``jobs=2``) execution write
+    byte-identical entries under identical keys."""
     spec = tiny_campaign(num_seeds=2)
-    local = ResultCache(tmp_path / "local")
-    batched = ResultCache(tmp_path / "batched")
-    spec.run(jobs=2, cache=local)
-    spec.run(jobs=2, cache=batched, backend=BatchedBackend(batch_size=3))
-    local_entries = {p.name: p.read_text() for p in
-                     (tmp_path / "local").glob("*/*.json")}
-    batched_entries = {p.name: p.read_text() for p in
-                       (tmp_path / "batched").glob("*/*.json")}
-    assert local_entries == batched_entries
-    assert len(local_entries) == spec.num_cells
+    pool = ResultCache(tmp_path / "pool")
+    inline = ResultCache(tmp_path / "inline")
+    spec.run(jobs=2, cache=pool)
+    spec.run(jobs=1, cache=inline)
+    pool_entries = {p.name: p.read_text() for p in
+                    (tmp_path / "pool").glob("*/*.json")}
+    inline_entries = {p.name: p.read_text() for p in
+                      (tmp_path / "inline").glob("*/*.json")}
+    assert pool_entries == inline_entries
+    assert len(pool_entries) == spec.num_cells
 
 
 def test_campaign_protocol_rows_and_tabulate():
@@ -236,7 +235,7 @@ def test_sharded_campaign_partitions_and_partial_guards(tmp_path):
     for index in range(3):
         shard_dir = tmp_path / f"shard-{index}"
         result = spec.run(jobs=1, cache=ResultCache(shard_dir),
-                          backend=ShardBackend(index, 3))
+                          shard=(index, 3))
         assert result.simulations_run == len(plan.shard_cells(index))
         assert result.complete == (result.simulations_run == spec.num_cells)
         assert result.passed  # partial results still judge executed cells

@@ -180,11 +180,48 @@ def test_disabled_cache_writes_and_reads_nothing(tmp_path):
 
 def test_resolve_jobs(monkeypatch):
     assert resolve_jobs(3) == 3
-    assert resolve_jobs(0) == 1
+    for jobs in (0, -4):
+        with pytest.raises(ValueError, match=f"--jobs must be >= 1, got {jobs}"):
+            resolve_jobs(jobs)
     monkeypatch.setenv("REPRO_JOBS", "5")
     assert resolve_jobs() == 5
+    for env in ("0", "-2"):
+        monkeypatch.setenv("REPRO_JOBS", env)
+        with pytest.raises(ValueError, match=f"REPRO_JOBS must be >= 1, got {env}"):
+            resolve_jobs()
+        assert resolve_jobs(2) == 2  # an explicit argument still wins
     monkeypatch.delenv("REPRO_JOBS")
     assert resolve_jobs() >= 1
+
+
+def test_cli_rejects_nonpositive_jobs(monkeypatch, capsys):
+    from repro.cli import main
+
+    base = ["run", "fft", "--protocol", "MESI", "--cores", "2",
+            "--scale", "0.2", "--no-cache"]
+    assert main(base + ["--jobs", "0"]) == 2
+    assert "--jobs must be >= 1, got 0" in capsys.readouterr().err
+    monkeypatch.setenv("REPRO_JOBS", "0")
+    assert main(["sweep", "ci-smoke", "--no-cache"]) == 2
+    assert "REPRO_JOBS must be >= 1, got 0" in capsys.readouterr().err
+
+
+def test_executor_backend_keyword_accepts_only_local():
+    config = make_tiny_config()
+    assert MatrixExecutor(config, jobs=1, backend="local").shard is None
+    assert MatrixExecutor(config, jobs=1, backend=None).shard is None
+    with pytest.raises(ValueError, match="batched"):
+        MatrixExecutor(config, jobs=1, backend="batched")
+
+
+def test_executor_shard_defaults_to_repro_shard(monkeypatch):
+    config = make_tiny_config()
+    monkeypatch.setenv("REPRO_SHARD", "1/3")
+    assert MatrixExecutor(config, jobs=1).shard == (1, 3)
+    assert MatrixExecutor(config, jobs=1, shard=(0, 2)).shard == (0, 2)
+    monkeypatch.setenv("REPRO_SHARD", "junk")
+    with pytest.raises(ValueError, match="REPRO_SHARD"):
+        MatrixExecutor(config, jobs=1)
 
 
 def test_validation_failure_propagates_from_workers():

@@ -177,7 +177,8 @@ def test_bench_file_without_metrics_rejected(tmp_path):
 
 # ----------------------------------------------------------------- CLI wiring
 
-def test_cli_bench_measures_gates_and_writes(tmp_path, capsys):
+def test_cli_bench_measures_gates_and_writes(tmp_path, capsys, monkeypatch):
+    import repro.perf.harness as harness
     from repro.cli import main
 
     code = main(["bench", "--check", "--repeats", "1",
@@ -194,13 +195,30 @@ def test_cli_bench_measures_gates_and_writes(tmp_path, capsys):
     assert payload["schema"] == BENCH_SCHEMA_VERSION
     assert set(METRIC_DIRECTIONS) <= set(payload["metrics"])
 
-    # Second run now has a baseline to gate against (and must not fail:
-    # back-to-back runs on the same machine sit well inside tolerance).
+    # The gate is exercised on replayed payloads rather than a second
+    # wall-clock measurement, so machine noise cannot decide the verdict.
+    def replay(metrics):
+        return lambda **_kwargs: {**payload, "metrics": metrics}
+
+    # A replay of the measured run gates against the baseline it seeded.
+    monkeypatch.setattr(harness, "run_bench", replay(payload["metrics"]))
     code = main(["bench", "--check", "--repeats", "1",
                  "--root", str(tmp_path)])
     assert code == 0
     out = capsys.readouterr().out
     assert "comparing against" in out
+    assert "gate: PASS" in out
+
+    # Twice the warm-cache overhead is a regression that names the metric.
+    slower = dict(payload["metrics"])
+    slower["warm_cache_overhead_sec"] *= 2
+    monkeypatch.setattr(harness, "run_bench", replay(slower))
+    code = main(["bench", "--check", "--repeats", "1",
+                 "--root", str(tmp_path)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "warm_cache_overhead_sec regressed" in captured.err
+    assert "gate: PASS" not in captured.out
 
 
 def test_cli_bench_default_tolerance_resolved():
