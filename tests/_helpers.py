@@ -54,3 +54,38 @@ def run_workload(workload, protocol, config, max_cycles=50_000_000):
         f"workload {workload.name} invalid under {protocol}"
     )
     return result
+
+
+def fence_workload():
+    """Two cores read the same four lines; core 0 then fences, which
+    self-invalidates its Shared copies under TSO-CC (the ``cause="fence"``
+    flash-clear of §3.6)."""
+    from repro.cpu.instruction import Fence, Load, Work
+    from repro.workloads.layout import AddressSpace
+    from repro.workloads.trace import Workload
+
+    space = AddressSpace()
+    data = space.array("data", 4)
+
+    def reader(ctx):
+        for i in range(4):
+            yield Load(data + i * 64)
+        yield Fence()
+
+    def other(ctx):
+        for i in range(4):
+            yield Load(data + i * 64)
+        yield Work(10)
+
+    return Workload(name="fence", programs=[reader, other])
+
+
+def narrow_timestamp_config():
+    """TSO-CC-4-12-3 with 4-bit timestamps and no write grouping: resets
+    its timestamp sources within a few dozen writes (§3.5)."""
+    from dataclasses import replace
+
+    from repro.protocols.tsocc.config import TSO_CC_4_12_3
+
+    return replace(TSO_CC_4_12_3, name="TSO-CC-narrow", ts_bits=4,
+                   write_group_bits=0)

@@ -27,7 +27,13 @@ from repro.workloads.synthetic import (
 from repro.workloads.sync import spin_until_equals
 from repro.workloads.trace import Workload
 
-from _helpers import ALL_PROTOCOLS, FAST_PROTOCOLS, run_workload
+from _helpers import (
+    ALL_PROTOCOLS,
+    FAST_PROTOCOLS,
+    fence_workload,
+    narrow_timestamp_config,
+    run_workload,
+)
 
 
 # ------------------------------------------------------------------ every protocol, every synthetic workload
@@ -148,22 +154,7 @@ def test_access_counter_bounds_consecutive_shared_hits(tiny_config):
 
 
 def test_fences_self_invalidate_shared_lines(small_config):
-    from repro.cpu.instruction import Fence
-
-    space = AddressSpace()
-    data = space.array("data", 4)
-
-    def reader(ctx):
-        for i in range(4):
-            yield Load(data + i * 64)
-        yield Fence()
-
-    def other(ctx):
-        for i in range(4):
-            yield Load(data + i * 64)
-        yield Work(10)
-
-    workload = Workload(name="fence", programs=[reader, other])
+    workload = fence_workload()
     result = run_workload(workload, "TSO-CC-4-12-3", small_config)
     agg = result.stats.aggregate_l1()
     assert agg.fences >= 1
@@ -173,11 +164,7 @@ def test_fences_self_invalidate_shared_lines(small_config):
 def test_timestamp_resets_occur_with_narrow_timestamps(small_config):
     """A 2-bit-group, narrow-timestamp configuration must reset during a
     write-heavy run and still produce correct results."""
-    from dataclasses import replace
-    from repro.protocols.tsocc.config import TSO_CC_4_12_3
-
-    narrow = replace(TSO_CC_4_12_3, name="TSO-CC-narrow", ts_bits=4,
-                     write_group_bits=0)
+    narrow = narrow_timestamp_config()
     workload = shared_accumulation(num_cores=4, contributions=30)
     system = build_system(small_config, narrow)
     result = system.run(workload.programs, params=workload.params,
