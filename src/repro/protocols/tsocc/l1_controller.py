@@ -38,6 +38,14 @@ from repro.protocols.tsocc.config import TSOCCConfig
 from repro.protocols.tsocc.states import TSOCCL1State
 from repro.protocols.tsocc.timestamps import EpochTable, TimestampSource, TimestampTable
 
+# The hot paths compare against these on every access.  On CPython, looking
+# an Enum member up on its class (``TSOCCL1State.SHARED``) costs several
+# times a module global, so they are bound once here.
+_SHARED, _SHARED_RO = TSOCCL1State.SHARED, TSOCCL1State.SHARED_RO
+_EXCLUSIVE, _MODIFIED = TSOCCL1State.EXCLUSIVE, TSOCCL1State.MODIFIED
+_DATA_E, _DATA_S = MessageType.DATA_E, MessageType.DATA_S
+_DATA_SRO, _DATA_X = MessageType.DATA_SRO, MessageType.DATA_X
+
 
 class TSOCCL1Controller(BaseL1Controller):
     """L1 cache controller implementing the TSO-CC protocol."""
@@ -81,10 +89,21 @@ class TSOCCL1Controller(BaseL1Controller):
         else:
             self.ts_source = None
         table_capacity = protocol_config.ts_table_entries or num_cores
-        self.ts_l1 = TimestampTable(capacity=table_capacity)
-        self.ts_l2 = TimestampTable(capacity=num_l2_tiles)
+        self.ts_l1 = TimestampTable(capacity=table_capacity, sources=num_cores)
+        self.ts_l2 = TimestampTable(capacity=num_l2_tiles, sources=num_l2_tiles)
         self.epochs_l1 = EpochTable()
         self.epochs_l2 = EpochTable()
+        # Configuration read on every access, resolved once.
+        self.max_shared_hits = protocol_config.max_shared_hits
+        self._use_timestamps = protocol_config.use_timestamps
+        self._sro_timestamps = (protocol_config.use_timestamps
+                                and protocol_config.sro_uses_l2_timestamps)
+        self._grouped_writes = protocol_config.write_group_size > 1
+        self._offset_mask = self.address_map.offset_mask
+        # Index of the lines installed or downgraded as Shared since the
+        # last self-invalidation (line address -> line): the flash-clear
+        # visits these instead of scanning the whole cache.
+        self._shared_lines: Dict[int, CacheLine] = {}
 
     # ------------------------------------------------------------------ core ops
 
@@ -96,18 +115,21 @@ class TSOCCL1Controller(BaseL1Controller):
             return
         start = self.sim.now
         line = self.cache.get_line(address)
-        offset = self.address_map.line_offset(address)
-        if line is not None and isinstance(line.state, TSOCCL1State):
+        if line is not None:
             state = line.state
-            if state.is_private or state is TSOCCL1State.SHARED_RO:
+            if state is not _SHARED:
+                # Exclusive, Modified and SharedRO lines hit freely.
                 self.stats.record_hit("read", state.category)
-                self._complete_load(callback, line.read_word(offset), start)
+                self._complete_load(callback, line.read_word(address & self._offset_mask),
+                                    start)
                 return
-            # Shared: hits are bounded by the access counter (b.acnt).
-            if self.config.max_shared_hits > 0 and line.acnt < self.config.max_shared_hits:
+            # Shared: hits are bounded by the access counter (b.acnt); with
+            # max_shared_hits == 0 they never hit.
+            if line.acnt < self.max_shared_hits:
                 line.acnt += 1
                 self.stats.record_hit("read", "shared")
-                self._complete_load(callback, line.read_word(offset), start)
+                self._complete_load(callback, line.read_word(address & self._offset_mask),
+                                    start)
                 return
             self.stats.record_miss("read", "shared")
         else:
@@ -133,7 +155,7 @@ class TSOCCL1Controller(BaseL1Controller):
         line = self.cache.get_line(address)
         if line is not None and isinstance(line.state, TSOCCL1State) and line.state.is_private:
             line.write_word(self.address_map.line_offset(address), value)
-            line.state = TSOCCL1State.MODIFIED
+            line.state = _MODIFIED
             self._record_write(line)
             self.stats.record_hit("write", "private")
             self._complete_store(callback, start)
@@ -166,7 +188,7 @@ class TSOCCL1Controller(BaseL1Controller):
             offset = self.address_map.line_offset(address)
             old = line.read_word(offset)
             line.write_word(offset, modify(old))
-            line.state = TSOCCL1State.MODIFIED
+            line.state = _MODIFIED
             self._record_write(line)
             self.stats.record_hit("write", "private")
             self._complete_rmw(callback, old, start)
@@ -235,39 +257,52 @@ class TSOCCL1Controller(BaseL1Controller):
 
     def _self_invalidate(self, cause: str, from_response: bool) -> None:
         """Invalidate every line in the Shared state (SharedRO, Exclusive and
-        Modified lines are never self-invalidated)."""
-        victims = [
-            line for line in self.cache.lines() if line.state is TSOCCL1State.SHARED
-        ]
-        for line in victims:
-            self.cache.remove(line.address)
-        self.stats.record_self_invalidation(cause, len(victims), from_response)
+        Modified lines are never self-invalidated).
 
-    def _self_invalidation_decision(self, msg: Message) -> Optional[str]:
+        In hardware this is a flash-clear of one L1 state (§3.2).  Here it
+        visits only the Shared-line index rather than every resident line.
+        A line joins the index when it becomes Shared (a ``DATA_S`` install
+        or a FwdGetS downgrade), so the index holds every resident Shared
+        line.  It may also hold stale entries for lines that have since
+        left the cache or the state, so an entry is dropped only if it is
+        still the resident line and still Shared.
+        """
+        cache = self.cache
+        get_line = cache.get_line
+        victims = 0
+        for address, line in self._shared_lines.items():
+            if get_line(address) is line and line.state is _SHARED:
+                cache.remove(address)
+                victims += 1
+        self._shared_lines.clear()
+        self.stats.record_self_invalidation(cause, victims, from_response)
+
+    def _observe_response(self, mtype: MessageType, writer: Optional[int],
+                          ts: Optional[int], epoch: int,
+                          tile: Optional[int]) -> Optional[str]:
         """Decide whether a data response is a *potential acquire* requiring
-        self-invalidation; returns the cause string or ``None``.
+        self-invalidation, and record its timestamp as last-seen; returns
+        the cause string or ``None``.
 
         Implements the rules of §3.2 (basic: any response whose last writer is
         another core), §3.3 (timestamps: only if the response's timestamp is
         newer than the last-seen timestamp of its writer; missing/invalid
         timestamps are conservative), §3.4 (SharedRO data compared against
         the per-L2-tile timestamp) and §3.5 (epoch mismatches behave like a
-        just-received timestamp reset).
+        just-received timestamp reset).  The self-invalidation this may
+        trigger never reads the timestamp tables, so recording before it
+        runs is the same as recording after.
         """
-        writer = msg.info.get("writer")
-        ts = msg.info.get("ts")
-        epoch = msg.info.get("epoch", 0)
-
-        if msg.mtype is MessageType.DATA_SRO:
-            if not (self.config.use_timestamps and self.config.sro_uses_l2_timestamps):
+        if mtype is _DATA_SRO:
+            if not self._sro_timestamps:
                 return "acquire_sro"
-            tile = msg.info.get("tile")
             if ts is None or tile is None:
                 return "invalid_ts"
             if not self.epochs_l2.matches(tile, epoch):
                 self.epochs_l2.update(tile, epoch)
                 self.ts_l2.invalidate(tile)
             last_seen = self.ts_l2.get(tile)
+            self.ts_l2.update(tile, ts)
             if last_seen is None or ts > last_seen:
                 return "acquire_sro"
             return None
@@ -275,42 +310,20 @@ class TSOCCL1Controller(BaseL1Controller):
         if writer is not None and writer == self.core_id:
             # b.owner is the requester: the last write is our own.
             return None
-        if not self.config.use_timestamps:
-            return "invalid_ts"
-        if ts is None or writer is None:
+        if not self._use_timestamps or ts is None or writer is None:
             return "invalid_ts"
         if not self.epochs_l1.matches(writer, epoch):
             self.epochs_l1.update(writer, epoch)
             self.ts_l1.invalidate(writer)
         last_seen = self.ts_l1.get(writer)
+        self.ts_l1.update(writer, ts)
         if last_seen is None:
             return "acquire"
-        if self.config.write_group_size > 1:
+        if self._grouped_writes:
             newer = ts >= last_seen
         else:
             newer = ts > last_seen
         return "acquire" if newer else None
-
-    def _update_timestamp_tables(self, msg: Message) -> None:
-        """Record the timestamp carried by a data response as last-seen."""
-        if not self.config.use_timestamps:
-            return
-        ts = msg.info.get("ts")
-        epoch = msg.info.get("epoch", 0)
-        if ts is None:
-            return
-        if msg.mtype is MessageType.DATA_SRO:
-            tile = msg.info.get("tile")
-            if tile is None:
-                return
-            self.epochs_l2.update(tile, epoch)
-            self.ts_l2.update(tile, ts)
-            return
-        writer = msg.info.get("writer")
-        if writer is None or writer == self.core_id:
-            return
-        self.epochs_l1.update(writer, epoch)
-        self.ts_l1.update(writer, ts)
 
     # ------------------------------------------------------------------ messages
 
@@ -322,38 +335,53 @@ class TSOCCL1Controller(BaseL1Controller):
         assert msg.address is not None
         txn = self.response_txn(msg)
         self.stats.data_responses += 1
-        cause = self._self_invalidation_decision(msg)
+        mtype = msg.mtype
+        # Every data response carries these fields (SharedRO ones carry the
+        # L2 tile instead of the writer): read them once.
+        info = msg.info
+        writer = info.get("writer")
+        ts = info.get("ts")
+        epoch = info.get("epoch", 0)
+        tile = info.get("tile")
+        cause = self._observe_response(mtype, writer, ts, epoch, tile)
         if cause is not None:
             self._self_invalidate(cause, from_response=True)
-        self._update_timestamp_tables(msg)
 
-        if msg.mtype is MessageType.DATA_E:
-            state = TSOCCL1State.EXCLUSIVE
-        elif msg.mtype is MessageType.DATA_S:
-            state = TSOCCL1State.SHARED
-        elif msg.mtype is MessageType.DATA_SRO:
-            state = TSOCCL1State.SHARED_RO
+        if mtype is _DATA_E:
+            state = _EXCLUSIVE
+        elif mtype is _DATA_S:
+            state = _SHARED
+        elif mtype is _DATA_SRO:
+            state = _SHARED_RO
         else:  # DATA_X / DATA_OWNER: exclusive permission for a write or RMW
-            state = TSOCCL1State.MODIFIED if txn.kind != "load" else TSOCCL1State.EXCLUSIVE
+            state = _MODIFIED if txn.kind != "load" else _EXCLUSIVE
 
-        line = self.install_line(msg.address, msg.data or {}, state)
+        address = msg.address
+        line = self.install_line(address, msg.data or {}, state)
+        if state is _SHARED:
+            self._shared_lines[address] = line
+        else:
+            # The install may have overwritten a resident Shared copy.
+            self._shared_lines.pop(address, None)
         line.acnt = 0
-        line.ts = msg.info.get("ts")
-        line.ts_epoch = msg.info.get("epoch")
-        line.last_writer = msg.info.get("writer")
+        line.ts = ts
+        line.ts_epoch = epoch
+        line.last_writer = writer
 
         # Exclusive grants from the L2 must be acknowledged so the home tile
         # can leave its transient state (write serialization, §3.2).
-        if msg.mtype in (MessageType.DATA_E, MessageType.DATA_X) and self.topology.is_l2_node(msg.src):
-            self.send(MessageType.L1_ACK, msg.src, address=msg.address,
+        if ((mtype is _DATA_E or mtype is _DATA_X)
+                and self.topology.is_l2_node(msg.src)):
+            self.send(MessageType.L1_ACK, msg.src, address=address,
                       acker=self.core_id)
         self.finish_txn_with_line(txn, line)
-        if txn.meta.get("inv_raced") and state in (TSOCCL1State.SHARED,
-                                                   TSOCCL1State.SHARED_RO):
+        if txn.meta.get("inv_raced") and (state is _SHARED
+                                          or state is _SHARED_RO):
             # A (SharedRO) broadcast invalidation overtook this data response:
             # keeping the copy could leave a read-only line stale forever, so
             # use the data once and drop it.
-            self.cache.remove(msg.address)
+            self.cache.remove(address)
+            self._shared_lines.pop(address, None)
 
     # -- forwarded requests -------------------------------------------------------
 
@@ -406,10 +434,11 @@ class TSOCCL1Controller(BaseL1Controller):
         ts, epoch, writer = line.ts, line.ts_epoch, line.last_writer
         resident = self.cache.get_line(msg.address)
         if resident is line:
-            line.state = TSOCCL1State.SHARED
+            line.state = _SHARED
             line.acnt = 0
             line.dirty = False
-        self.send(MessageType.DATA_S, self.topology.l1_node(requester),
+            self._shared_lines[line.address] = line
+        self.send(_DATA_S, self.topology.l1_node(requester),
                   address=msg.address, data=data, writer=writer, ts=ts,
                   epoch=epoch if epoch is not None else 0)
         self.send(MessageType.DOWNGRADE_ACK, msg.src, address=msg.address,
@@ -429,6 +458,7 @@ class TSOCCL1Controller(BaseL1Controller):
         ts, epoch, writer = line.ts, line.ts_epoch, line.last_writer
         if self.cache.get_line(msg.address) is not None:
             self.cache.remove(msg.address)
+            self._shared_lines.pop(msg.address, None)
         self.stats.invalidations_received += 1
         self.send(MessageType.DATA_OWNER, self.topology.l1_node(requester),
                   address=msg.address, data=data, writer=writer, ts=ts,
@@ -447,6 +477,7 @@ class TSOCCL1Controller(BaseL1Controller):
         epoch = line.ts_epoch if line is not None else 0
         if self.cache.get_line(msg.address) is not None:
             self.cache.remove(msg.address)
+            self._shared_lines.pop(msg.address, None)
         self.stats.invalidations_received += 1
         self.send(MessageType.WB_DATA, msg.src, address=msg.address,
                   data=data, dirty=dirty, owner=self.core_id, ts=ts,
@@ -484,8 +515,9 @@ class TSOCCL1Controller(BaseL1Controller):
     def _evict(self, victim: CacheLine) -> None:
         if not isinstance(victim.state, TSOCCL1State):
             return
+        self._shared_lines.pop(victim.address, None)
         self.stats.evictions[victim.state.category] += 1
-        if victim.state in (TSOCCL1State.SHARED, TSOCCL1State.SHARED_RO):
+        if victim.state in (_SHARED, _SHARED_RO):
             # Shared and SharedRO lines are untracked: silent eviction.
             return
         self.writeback_victim(victim)

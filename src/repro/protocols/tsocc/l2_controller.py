@@ -27,7 +27,7 @@ allocation, Put/recall collection and memory plumbing comes from
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.interconnect.message import Message, MessageType
 from repro.memsys.cacheline import CacheLine
@@ -40,6 +40,14 @@ from repro.protocols.tsocc.timestamps import (
     TimestampSource,
     TimestampTable,
 )
+
+# The hot paths compare against these on every request.  On CPython, looking
+# an Enum member up on its class (``TSOCCL2State.SHARED``) costs several
+# times a module global, so they are bound once here.
+_UNCACHED, _EXCLUSIVE = TSOCCL2State.UNCACHED, TSOCCL2State.EXCLUSIVE
+_SHARED, _SHARED_RO = TSOCCL2State.SHARED, TSOCCL2State.SHARED_RO
+_DATA_E, _DATA_S = MessageType.DATA_E, MessageType.DATA_S
+_DATA_SRO, _DATA_X = MessageType.DATA_SRO, MessageType.DATA_X
 
 
 class TSOCCL2Controller(BaseL2Controller):
@@ -87,13 +95,17 @@ class TSOCCL2Controller(BaseL2Controller):
             )
         else:
             self.l2_ts_source = None
-        self.ts_l1_last_seen = TimestampTable(capacity=num_cores)
+        self.ts_l1_last_seen = TimestampTable(capacity=num_cores, sources=num_cores)
         self.epochs_l1 = EpochTable()
         # Coarse sharer groups: the b.owner field (log2(cores) bits) is
         # reused as a bit-per-group vector for SharedRO lines (§3.4).
         self.num_sharer_groups = max(1, num_cores.bit_length() - 1) if num_cores > 1 else 1
         # line address -> in-progress transaction bookkeeping
         self._txn: Dict[int, Dict] = {}
+        # Configuration read on every GetS, resolved once.
+        self._use_timestamps = protocol_config.use_timestamps
+        self._decay_delta = (protocol_config.decay_timestamp_delta
+                             if protocol_config.use_shared_ro else None)
 
     # ------------------------------------------------------------------ helpers
 
@@ -105,8 +117,9 @@ class TSOCCL2Controller(BaseL2Controller):
         """All core ids belonging to any group in ``groups``."""
         return [core for core in range(self.num_cores) if self.group_of(core) in groups]
 
-    def _response_ts(self, line: CacheLine) -> Dict:
-        """Timestamp fields for a non-SharedRO data response.
+    def _response_ts(self, line: CacheLine) -> Tuple[Optional[int], int]:
+        """``(ts, epoch)`` of a non-SharedRO data response (the writer is
+        ``line.last_writer``).
 
         Applies the §3.5 clamping rule: if the line's timestamp is newer than
         the last timestamp seen from its writer (i.e. it stems from a
@@ -114,29 +127,31 @@ class TSOCCL2Controller(BaseL2Controller):
         timestamp instead.
         """
         writer = line.last_writer
-        if not self.config.use_timestamps or line.ts is None or writer is None:
-            return {"ts": None, "epoch": 0, "writer": writer}
+        ts = line.ts
+        if not self._use_timestamps or ts is None or writer is None:
+            return None, 0
         epoch = self.epochs_l1.expected(writer)
         last_seen = self.ts_l1_last_seen.get(writer)
-        if last_seen is None or last_seen < line.ts:
-            return {"ts": SMALLEST_VALID_TIMESTAMP, "epoch": epoch, "writer": writer}
-        return {"ts": line.ts, "epoch": epoch, "writer": writer}
+        if last_seen is None or last_seen < ts:
+            return SMALLEST_VALID_TIMESTAMP, epoch
+        return ts, epoch
 
-    def _sro_response_ts(self, line: CacheLine) -> Dict:
-        """Timestamp fields for a SharedRO data response (L2-sourced)."""
-        if self.l2_ts_source is None or line.ts is None:
-            return {"ts": None, "epoch": 0, "tile": self.tile_id}
+    def _sro_response_ts(self, line: CacheLine) -> Tuple[Optional[int], int]:
+        """``(ts, epoch)`` of a SharedRO data response (L2-sourced)."""
+        source = self.l2_ts_source
         ts = line.ts
-        if ts > self.l2_ts_source.current:
+        if source is None or ts is None:
+            return None, 0
+        if ts > source.current:
             # Timestamp from a previous epoch of this tile: clamp.
             ts = SMALLEST_VALID_TIMESTAMP
-        return {"ts": ts, "epoch": self.l2_ts_source.epoch, "tile": self.tile_id}
+        return ts, source.epoch
 
     def _record_writer_timestamp(self, core_id: Optional[int], ts: Optional[int],
                                  epoch: int) -> None:
         """Update the per-L1 last-seen timestamp table (used for decay and
         for the epoch-clamping rule)."""
-        if core_id is None or ts is None or not self.config.use_timestamps:
+        if core_id is None or ts is None or not self._use_timestamps:
             return
         if not self.epochs_l1.matches(core_id, epoch):
             self.epochs_l1.update(core_id, epoch)
@@ -161,33 +176,35 @@ class TSOCCL2Controller(BaseL2Controller):
         if line is None:
             self._fetch_and_grant(msg)
             return
-        if line.state is TSOCCL2State.UNCACHED:
-            self._grant_exclusive(line, requester, MessageType.DATA_E)
+        if line.state is _UNCACHED:
+            self._grant_exclusive(line, requester, _DATA_E)
             return
-        if line.state is TSOCCL2State.EXCLUSIVE:
+        if line.state is _EXCLUSIVE:
             if line.owner == requester:
-                self._grant_exclusive(line, requester, MessageType.DATA_E)
+                self._grant_exclusive(line, requester, _DATA_E)
                 return
             self.stats.forwarded_requests += 1
             self.block(line.address)
             self._txn[line.address] = {"type": "fwd_gets", "requester": requester}
-            self.send(MessageType.FWD_GETS, self.l1_node(line.owner),
+            self.send(MessageType.FWD_GETS, self.topology.l1_node(line.owner),
                       address=line.address, requester=requester)
             return
-        if line.state is TSOCCL2State.SHARED and self._should_decay(line):
+        if line.state is _SHARED and self._should_decay(line):
             self._transition_to_sro(line, decayed=True)
-        if line.state is TSOCCL2State.SHARED:
-            fields = self._response_ts(line)
-            self.send(MessageType.DATA_S, self.l1_node(requester),
+        if line.state is _SHARED:
+            ts, epoch = self._response_ts(line)
+            self.send(_DATA_S, self.topology.l1_node(requester),
                       address=line.address, data=line.copy_data(),
-                      delay=self.access_latency, **fields)
+                      delay=self.access_latency, ts=ts, epoch=epoch,
+                      writer=line.last_writer)
             return
         # SHARED_RO
         line.sharers.add(self.group_of(requester))
-        fields = self._sro_response_ts(line)
-        self.send(MessageType.DATA_SRO, self.l1_node(requester),
+        ts, epoch = self._sro_response_ts(line)
+        self.send(_DATA_SRO, self.topology.l1_node(requester),
                   address=line.address, data=line.copy_data(),
-                  delay=self.access_latency, **fields)
+                  delay=self.access_latency, ts=ts, epoch=epoch,
+                  tile=self.tile_id)
 
     # ------------------------------------------------------------------ writes
 
@@ -199,20 +216,20 @@ class TSOCCL2Controller(BaseL2Controller):
         if line is None:
             self._fetch_and_grant(msg)
             return
-        if line.state in (TSOCCL2State.UNCACHED, TSOCCL2State.SHARED):
+        if line.state in (_UNCACHED, _SHARED):
             # The hallmark of TSO-CC: writes to Shared lines are granted
             # immediately, with no invalidation fan-out; the stale copies in
             # other L1s are bounded by access counters / self-invalidation.
-            self._grant_exclusive(line, requester, MessageType.DATA_X)
+            self._grant_exclusive(line, requester, _DATA_X)
             return
-        if line.state is TSOCCL2State.EXCLUSIVE:
+        if line.state is _EXCLUSIVE:
             if line.owner == requester:
-                self._grant_exclusive(line, requester, MessageType.DATA_X)
+                self._grant_exclusive(line, requester, _DATA_X)
                 return
             self.stats.forwarded_requests += 1
             self.block(line.address)
             self._txn[line.address] = {"type": "fwd_getx", "requester": requester}
-            self.send(MessageType.FWD_GETX, self.l1_node(line.owner),
+            self.send(MessageType.FWD_GETX, self.topology.l1_node(line.owner),
                       address=line.address, requester=requester)
             return
         # SHARED_RO: rare writes require eager broadcast invalidation of the
@@ -220,7 +237,7 @@ class TSOCCL2Controller(BaseL2Controller):
         targets = [core for core in self.cores_in_groups(line.sharers)
                    if core != requester]
         if not targets:
-            self._grant_exclusive(line, requester, MessageType.DATA_X)
+            self._grant_exclusive(line, requester, _DATA_X)
             return
         self.stats.sro_invalidation_broadcasts += 1
         self.block(line.address)
@@ -230,22 +247,23 @@ class TSOCCL2Controller(BaseL2Controller):
             "pending": len(targets),
         }
         for core in targets:
-            self.send(MessageType.INV, self.l1_node(core), address=line.address,
+            self.send(MessageType.INV, self.topology.l1_node(core), address=line.address,
                       requester=requester, sro=True)
 
     def _grant_exclusive(self, line: CacheLine, requester: int,
                          dtype: MessageType, already_blocked: bool = False) -> None:
         """Grant exclusive ownership of ``line`` to ``requester`` and block
         the line until the L1 acknowledges receipt (write serialization)."""
-        fields = self._response_ts(line)
-        line.state = TSOCCL2State.EXCLUSIVE
+        ts, epoch = self._response_ts(line)
+        line.state = _EXCLUSIVE
         line.owner = requester
         line.sharers = set()
         if not already_blocked:
             self.block(line.address)
         self._txn[line.address] = {"type": "await_l1_ack", "requester": requester}
-        self.send(dtype, self.l1_node(requester), address=line.address,
-                  data=line.copy_data(), delay=self.access_latency, **fields)
+        self.send(dtype, self.topology.l1_node(requester), address=line.address,
+                  data=line.copy_data(), delay=self.access_latency, ts=ts,
+                  epoch=epoch, writer=line.last_writer)
 
     def _on_l1_ack(self, msg: Message) -> None:
         assert msg.address is not None
@@ -282,7 +300,7 @@ class TSOCCL2Controller(BaseL2Controller):
                 line.sharers.add(self.group_of(owner))
                 line.sharers.add(self.group_of(txn["requester"]))
             else:
-                line.state = TSOCCL2State.SHARED
+                line.state = _SHARED
                 line.owner = line.last_writer
         self.unblock(msg.address)
 
@@ -297,7 +315,7 @@ class TSOCCL2Controller(BaseL2Controller):
                 line.custom["modified"] = True
                 self._record_writer_timestamp(old_owner, msg.info.get("ts"),
                                               msg.info.get("epoch", 0))
-            line.state = TSOCCL2State.EXCLUSIVE
+            line.state = _EXCLUSIVE
             line.owner = txn["requester"]
             line.sharers = set()
         self.unblock(msg.address)
@@ -316,7 +334,7 @@ class TSOCCL2Controller(BaseL2Controller):
         self._txn.pop(msg.address, None)
         line = self.cache.get_line(msg.address)
         if line is not None:
-            self._grant_exclusive(line, txn["requester"], MessageType.DATA_X,
+            self._grant_exclusive(line, txn["requester"], _DATA_X,
                                   already_blocked=True)
         else:
             self.unblock(msg.address)
@@ -349,8 +367,8 @@ class TSOCCL2Controller(BaseL2Controller):
     def _should_decay(self, line: CacheLine) -> bool:
         """Shared lines that have not been written for ``decay_writes`` writes
         (as reflected by the writer's timestamps) decay to SharedRO (§3.4)."""
-        threshold = self.config.decay_timestamp_delta
-        if threshold is None or not self.config.use_shared_ro:
+        threshold = self._decay_delta
+        if threshold is None:
             return False
         if line.ts is None or line.last_writer is None:
             return False
@@ -364,7 +382,7 @@ class TSOCCL2Controller(BaseL2Controller):
         self.stats.sro_transitions += 1
         if decayed:
             self.stats.shared_decays += 1
-        line.state = TSOCCL2State.SHARED_RO
+        line.state = _SHARED_RO
         line.owner = None
         line.sharers = set()
         if self.l2_ts_source is not None:
@@ -412,8 +430,8 @@ class TSOCCL2Controller(BaseL2Controller):
             return
         self.block(line_addr)
         requester = request.info["requester"]
-        dtype = (MessageType.DATA_E if request.mtype is MessageType.GETS
-                 else MessageType.DATA_X)
+        dtype = (_DATA_E if request.mtype is MessageType.GETS
+                 else _DATA_X)
 
         def on_data(data: Dict[int, int]) -> None:
             placed.merge_data(data)
@@ -427,14 +445,14 @@ class TSOCCL2Controller(BaseL2Controller):
 
     def _evict_victim(self, victim: CacheLine) -> None:
         self.record_l2_eviction(victim)
-        if victim.state in (TSOCCL2State.UNCACHED, TSOCCL2State.SHARED, None):
+        if victim.state in (_UNCACHED, _SHARED, None):
             # Shared lines are untracked and non-inclusive: drop silently.
             # Timestamps are not propagated to memory, which later forces the
             # mandatory self-invalidation on re-fetch (§3.3).
             if victim.dirty:
                 self.writeback_to_memory(victim.address, victim.copy_data())
             return
-        if victim.state is TSOCCL2State.SHARED_RO:
+        if victim.state is _SHARED_RO:
             # Stale read-only copies would otherwise linger unreachable (they
             # are never self-invalidated), so broadcast invalidations to the
             # coarse sharer groups before dropping the line.
@@ -445,12 +463,12 @@ class TSOCCL2Controller(BaseL2Controller):
                 return
             self.begin_recall(victim, pending=len(targets), dirty=False)
             for core in targets:
-                self.send(MessageType.INV, self.l1_node(core),
+                self.send(MessageType.INV, self.topology.l1_node(core),
                           address=victim.address, recall=True, sro=True)
             return
         # EXCLUSIVE: recall the line from its owner.
         self.begin_recall(victim, pending=1)
-        self.send(MessageType.RECALL, self.l1_node(victim.owner),
+        self.send(MessageType.RECALL, self.topology.l1_node(victim.owner),
                   address=victim.address)
 
     def on_recalled_wb_data(self, msg: Message) -> None:

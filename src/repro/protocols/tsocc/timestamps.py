@@ -8,7 +8,8 @@ Three small components:
   broadcast a timestamp reset; the source then starts a new *epoch*.
 * :class:`TimestampTable` — a bounded table of last-seen timestamps keyed by
   source id (``ts_L1`` / ``ts_L2`` in Table 1), with LRU eviction when the
-  table is smaller than the number of sources.
+  table is smaller than the number of sources (and no LRU bookkeeping at
+  all when it is not).
 * :class:`EpochTable` — expected epoch-ids per source, used to detect data
   messages whose timestamp stems from an epoch older than the latest reset.
 
@@ -117,14 +118,33 @@ class TimestampTable:
             full, the least recently used entry is evicted — which, exactly
             as in the paper, later forces a conservative self-invalidation
             for the evicted writer.
+        sources: number of distinct source ids the table can be asked about
+            (ids ``0 .. sources-1``), or ``None`` if unknown.  A table that
+            holds every source (``capacity`` unbounded or at least
+            ``sources``) can never evict, so its LRU order is unobservable:
+            :meth:`get` and :meth:`update` then skip the LRU bookkeeping and
+            the table behaves exactly as if they had done it.  The L1 reads
+            its tables on every data response, so this is a hot path.
+
+    Raises:
+        ValueError: for a non-positive ``capacity`` or ``sources``.
     """
 
-    def __init__(self, capacity: Optional[int] = None) -> None:
+    def __init__(self, capacity: Optional[int] = None,
+                 sources: Optional[int] = None) -> None:
         if capacity is not None and capacity < 1:
             raise ValueError("capacity must be >= 1 or None")
+        if sources is not None and sources < 1:
+            raise ValueError("sources must be >= 1 or None")
         self.capacity = capacity
+        self.sources = sources
         self._entries: "OrderedDict[int, int]" = OrderedDict()
         self.evictions = 0
+        #: Whether LRU order can matter: only a table that may evict.
+        self.tracks_lru = capacity is not None and (sources is None or capacity < sources)
+        if not self.tracks_lru:
+            # Nothing to refresh: a lookup is the plain dict lookup.
+            self.get = self._entries.get  # type: ignore[method-assign]
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -134,21 +154,34 @@ class TimestampTable:
 
     def get(self, source_id: int) -> Optional[int]:
         """Return the last-seen timestamp for ``source_id`` (``None`` if not
-        present); refreshes LRU order."""
-        if source_id not in self._entries:
-            return None
-        self._entries.move_to_end(source_id)
-        return self._entries[source_id]
+        present); refreshes LRU order.  A table that does not track LRU
+        order replaces this method with its dict's ``get``."""
+        value = self._entries.get(source_id)
+        if value is not None:
+            self._entries.move_to_end(source_id)
+        return value
 
     def update(self, source_id: int, timestamp: int) -> None:
         """Record ``timestamp`` as last seen from ``source_id`` (keeps the
         maximum of the existing and new value within an epoch)."""
-        existing = self._entries.get(source_id)
-        value = timestamp if existing is None else max(existing, timestamp)
-        self._entries[source_id] = value
-        self._entries.move_to_end(source_id)
-        if self.capacity is not None and len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
+        entries = self._entries
+        existing = entries.get(source_id)
+        if not self.tracks_lru:
+            if existing is None:
+                # Skipping LRU bookkeeping relies on never exceeding the
+                # capacity, so ids outside 0 .. sources-1 are rejected.
+                if self.sources is not None and not 0 <= source_id < self.sources:
+                    raise ValueError(
+                        f"source id {source_id} out of range for a table of "
+                        f"{self.sources} sources")
+                entries[source_id] = timestamp
+            elif timestamp > existing:
+                entries[source_id] = timestamp
+            return
+        entries[source_id] = timestamp if existing is None else max(existing, timestamp)
+        entries.move_to_end(source_id)
+        if len(entries) > self.capacity:
+            entries.popitem(last=False)
             self.evictions += 1
 
     def invalidate(self, source_id: int) -> None:
@@ -182,7 +215,7 @@ class EpochTable:
 
     def matches(self, source_id: int, epoch: int) -> bool:
         """``True`` iff ``epoch`` equals the expected epoch for ``source_id``."""
-        return self.expected(source_id) == epoch
+        return self._epochs.get(source_id, 0) == epoch
 
     def update(self, source_id: int, epoch: int) -> None:
         """Record ``epoch`` as the current epoch of ``source_id``."""

@@ -130,6 +130,56 @@ def test_timestamp_table_capacity_property(updates, capacity):
         assert table.get(source) is not None and table.get(source) >= ts
 
 
+_TABLE_OPS = st.lists(
+    st.tuples(st.sampled_from(["get", "update", "invalidate"]),
+              st.integers(0, 7), st.integers(1, 100)),
+    max_size=80)
+
+
+@given(ops=_TABLE_OPS, sources=st.integers(1, 8), spare=st.integers(0, 3),
+       unbounded=st.booleans())
+def test_table_without_lru_matches_lru_reference(ops, sources, spare, unbounded):
+    """A table that holds every source skips LRU bookkeeping; it must answer
+    exactly like a table that keeps it."""
+    capacity = None if unbounded else sources + spare
+    table = TimestampTable(capacity=capacity, sources=sources)
+    reference = TimestampTable(capacity=capacity)
+    assert not table.tracks_lru
+    assert reference.tracks_lru == (capacity is not None)
+    for op, source, ts in ops:
+        source %= sources
+        if op == "get":
+            assert table.get(source) == reference.get(source)
+        elif op == "update":
+            table.update(source, ts)
+            reference.update(source, ts)
+        else:
+            table.invalidate(source)
+            reference.invalidate(source)
+        assert table.snapshot() == reference.snapshot()
+        assert len(table) == len(reference)
+    assert table.evictions == reference.evictions == 0
+
+
+def test_table_smaller_than_its_sources_keeps_lru():
+    table = TimestampTable(capacity=2, sources=4)
+    assert table.tracks_lru
+    table.update(1, 1)
+    table.update(2, 2)
+    table.get(1)
+    table.update(3, 3)
+    assert 2 not in table and table.evictions == 1
+
+
+def test_timestamp_table_invalid_sources():
+    for sources in (0, -1):
+        with pytest.raises(ValueError):
+            TimestampTable(capacity=4, sources=sources)
+    table = TimestampTable(capacity=4, sources=4)
+    with pytest.raises(ValueError, match="out of range"):
+        table.update(4, 1)
+
+
 # ------------------------------------------------------------------ epochs
 
 def test_epoch_table_defaults_and_updates():

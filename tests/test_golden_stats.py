@@ -12,7 +12,7 @@ configuration does not reach: no Shared hits (``CC-shared-to-L2``), no
 timestamps (``-basic``), unbounded and narrow timestamps, an evicting LRU
 timestamp table (``-tsTable1``) and no SharedRO decay (``-noSRO``).  The
 Table 3 stand-ins never reset a timestamp source nor fence, so two small
-programs on the tiny-cache platform pin those paths: a narrow-timestamp
+programs on the small-cache platform pin those paths: a narrow-timestamp
 shared accumulation that resets (the epoch path) and a fence that
 self-invalidates (the ``cause="fence"`` flash-clear).
 
@@ -54,7 +54,7 @@ CASES = [
      "tso_cc_4_12_3_tstable1_intruder.json"),
     ("TSO-CC-4-12-3-noSRO", "fft", 0.5, "tso_cc_4_12_3_nosro_fft.json"),
     ("TSO-CC-4-12-3-noSRO", "intruder", 0.4, "tso_cc_4_12_3_nosro_intruder.json"),
-    # Small programs on the tiny-cache platform (scale is unused).
+    # Small programs on the small-cache platform (scale is unused).
     ("TSO-CC-narrow", "shared_accumulation", None,
      "tso_cc_narrow_shared_accumulation.json"),
     ("TSO-CC-4-12-3", "fence", None, "tso_cc_4_12_3_fence.json"),
