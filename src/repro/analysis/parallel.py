@@ -41,6 +41,7 @@ from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
                     Tuple, Union)
 
 from repro.analysis.shard import resolve_shard, shard_of_key
+from repro.registry import Registry
 from repro.sim.config import SystemConfig
 from repro.sim.stats import STATS_SCHEMA_VERSION, SystemStats
 
@@ -183,19 +184,8 @@ class CellKind:
 
 
 #: Registered cell kinds by name.
-CELL_KINDS: Dict[str, CellKind] = {}
-
-
-def register_cell_kind(kind: CellKind) -> CellKind:
-    """Register a :class:`CellKind` under its name.
-
-    Raises:
-        ValueError: on a duplicate name.
-    """
-    if kind.name in CELL_KINDS:
-        raise ValueError(f"cell kind {kind.name!r} is already registered")
-    CELL_KINDS[kind.name] = kind
-    return kind
+CELL_KINDS: Registry[CellKind] = Registry("cell kind")
+register_cell_kind = CELL_KINDS.register
 
 
 def _load_bundled_kinds() -> None:
@@ -217,9 +207,6 @@ def get_cell_kind(kind: Union[str, CellKind]) -> CellKind:
         return kind
     if kind not in CELL_KINDS:
         _load_bundled_kinds()
-    if kind not in CELL_KINDS:
-        raise KeyError(
-            f"unknown cell kind {kind!r}; known: {', '.join(CELL_KINDS)}")
     return CELL_KINDS[kind]
 
 def _default_results_root() -> Path:

@@ -44,6 +44,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.analysis.parallel import (MatrixExecutor, ReportField, ResultCache,
                                      declare_report_fields)
 from repro.protocols.registry import list_protocol_names, variant_group
+from repro.registry import Registry
 from repro.sim.config import SystemConfig
 from repro.sim.stats import SystemStats
 from repro.workloads.catalog import canonical_workload_name
@@ -379,37 +380,10 @@ class SweepResult:
 # ---------------------------------------------------------------------- registry
 
 #: Registered sweeps by name, in registration order.
-SWEEPS: Dict[str, SweepSpec] = {}
-
-
-def register_sweep(spec: SweepSpec) -> SweepSpec:
-    """Register a sweep under its name.
-
-    Raises:
-        ValueError: on a duplicate name.
-    """
-    if spec.name in SWEEPS:
-        raise ValueError(f"sweep {spec.name!r} is already registered")
-    SWEEPS[spec.name] = spec
-    return spec
-
-
-def get_sweep(name: str) -> SweepSpec:
-    """Resolve a registered sweep by name.
-
-    Raises:
-        KeyError: for an unknown sweep name.
-    """
-    if name not in SWEEPS:
-        raise KeyError(
-            f"unknown sweep {name!r}; known: {', '.join(SWEEPS)}"
-        )
-    return SWEEPS[name]
-
-
-def list_sweeps() -> List[SweepSpec]:
-    """Every registered sweep, in registration order."""
-    return list(SWEEPS.values())
+SWEEPS: Registry[SweepSpec] = Registry("sweep")
+register_sweep = SWEEPS.register
+get_sweep = SWEEPS.__getitem__
+list_sweeps = SWEEPS.registered
 
 
 # ---------------------------------------------------------------------- bundled sweeps

@@ -68,8 +68,8 @@ from repro.analysis.shard import (merge_results, missing_cells, plan_sweep,
 from repro.analysis.sweeps import SWEEPS, SweepSpec, get_sweep, list_sweeps
 from repro.analysis.tables import format_series_table, format_table, protocol_rows
 from repro.consistency import canonical_tests, generate_random_test, verify_litmus
-from repro.consistency.fuzz import (format_test, get_campaign, list_campaigns,
-                                    replay_cell, shrink_cell)
+from repro.consistency.fuzz import (CAMPAIGNS, format_test, get_campaign,
+                                    list_campaigns, replay_cell, shrink_cell)
 from repro.protocols.registry import list_protocol_names
 from repro.protocols.storage import StorageModel
 from repro.protocols.tsocc.config import PAPER_TSOCC_CONFIGS
@@ -460,10 +460,24 @@ def _cmd_shard(args: argparse.Namespace) -> int:
 
 # ------------------------------------------------------------------ report
 
+def _sweep_or_campaign(name: str):
+    """A registered sweep or, failing that, a fuzz campaign — both report
+    through the same declared-field pipeline.
+
+    Raises:
+        KeyError: the name matches neither registry.
+    """
+    if name in SWEEPS:
+        return SWEEPS[name]
+    if name in CAMPAIGNS:
+        return CAMPAIGNS[name]
+    raise KeyError(f"unknown sweep or campaign {name!r}; see "
+                   f"'repro sweep --list' and 'repro fuzz list'")
+
+
 def _report_spec(args: argparse.Namespace):
-    """Resolve the reported spec: a registered sweep (honoring the axis
-    overrides) or, failing that, a fuzz campaign — both report through the
-    same declared-field pipeline.
+    """Resolve the reported spec: :func:`_sweep_or_campaign`, with a
+    sweep's axis overrides applied.
 
     Raises:
         KeyError: the name matches neither registry, or an override names
@@ -472,12 +486,7 @@ def _report_spec(args: argparse.Namespace):
     """
     if args.name in SWEEPS:
         return _sharded_spec(args)
-    try:
-        return get_campaign(args.name)
-    except KeyError:
-        raise KeyError(
-            f"unknown sweep or campaign {args.name!r}; see "
-            f"'repro sweep --list' and 'repro fuzz list'") from None
+    return _sweep_or_campaign(args.name)
 
 
 def _cmd_report_sweep(args: argparse.Namespace) -> int:
@@ -540,11 +549,9 @@ def _cmd_report_dash(args: argparse.Namespace) -> int:
     reports = []
     for name in names or [spec.name for spec in list_sweeps()]:
         try:
-            spec = SWEEPS[name] if name in SWEEPS else get_campaign(name)
-        except KeyError:
-            print(f"unknown sweep or campaign {name!r}; see "
-                  f"'repro sweep --list' and 'repro fuzz list'",
-                  file=sys.stderr)
+            spec = _sweep_or_campaign(name)
+        except KeyError as exc:
+            print(exc.args[0], file=sys.stderr)
             return 2
         report = SpecReport.from_cache(spec, Path(args.cache_dir))
         # An explicitly requested spec renders even when empty (the
@@ -806,49 +813,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         "merge": _cmd_fuzz_merge,
     }
     return handlers[args.fuzz_command](args)
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.perf.gate import run_gate
-    from repro.perf.harness import profile_metric, run_bench, write_bench
-
-    root = Path(args.root)
-    if args.profile is not None:
-        save = Path(args.save_profile) if args.save_profile else None
-        report = profile_metric(args.profile, top=args.top, save=save)
-        print(report, end="")
-        if save is not None:
-            print(f"wrote {save}")
-        return 0
-    payload = run_bench(repeats=args.repeats, bench_id=args.bench_id,
-                        progress=print)
-    print("\nmetrics (median of "
-          f"{args.repeats}):")
-    for name, value in sorted(payload["metrics"].items()):
-        print(f"  {name}: {value:.4g}")
-
-    exit_code = 0
-    if args.check:
-        gate = run_gate(payload, root, tolerance=args.tolerance)
-        for warning in gate.warnings:
-            print(f"warning: {warning}", file=sys.stderr)
-        if gate.baseline_path is not None:
-            print(f"\ngate: comparing against {gate.baseline_path} "
-                  f"(tolerance {args.tolerance:.0%})")
-        for line in gate.comparisons:
-            print(f"  {line}")
-        if not gate.passed:
-            for regression in gate.regressions:
-                print(f"REGRESSION: {regression}", file=sys.stderr)
-            exit_code = 1
-        else:
-            print("gate: PASS")
-
-    written = write_bench(payload, root,
-                          update_baseline=args.update_baseline)
-    for path in written:
-        print(f"wrote {path}")
-    return exit_code
 
 
 # ------------------------------------------------------------------ cache
@@ -1619,40 +1583,6 @@ def build_parser() -> argparse.ArgumentParser:
     suites.add_argument("name", nargs="?", default=None,
                         help="suite name (with or without the suite: prefix)")
 
-    bench = sub.add_parser(
-        "bench",
-        help="time the pinned perf workloads; emit BENCH_<n>.json and "
-             "optionally gate against the newest prior baseline")
-    bench.add_argument("--check", action="store_true",
-                       help="compare against the newest prior BENCH_*.json / "
-                            "committed baseline and exit nonzero on regression")
-    bench.add_argument("--tolerance", type=float, default=None,
-                       help="relative regression tolerance for --check "
-                            "(default: 0.35)")
-    bench.add_argument("--repeats", type=int, default=3,
-                       help="timed passes per metric; the median is reported "
-                            "(default: 3)")
-    bench.add_argument("--root", default=".",
-                       help="repository root where BENCH_<n>.json and "
-                            "benchmarks/results/ live (default: .)")
-    bench.add_argument("--bench-id", type=int, default=None,
-                       help="override the bench sequence number "
-                            "(default: the checkout's CURRENT_BENCH_ID)")
-    bench.add_argument("--update-baseline", action="store_true",
-                       help="overwrite the committed baseline under "
-                            "benchmarks/results/ with this measurement")
-    from repro.perf.harness import METRIC_DIRECTIONS as _bench_metrics
-    bench.add_argument("--profile", choices=sorted(_bench_metrics),
-                       default=None, metavar="METRIC",
-                       help="instead of timing, run one pinned pass of "
-                            "METRIC under cProfile and print the hotspots "
-                            f"(choices: {', '.join(sorted(_bench_metrics))})")
-    bench.add_argument("--top", type=int, default=25,
-                       help="number of functions shown by --profile "
-                            "(default: 25)")
-    bench.add_argument("--save-profile", default=None, metavar="PATH",
-                       help="also write the --profile report to PATH")
-
     return parser
 
 
@@ -1674,7 +1604,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "cache": _cmd_cache,
         "trace": _cmd_trace,
         "suites": _cmd_suites,
-        "bench": _cmd_bench,
     }
     if hasattr(args, "jobs"):
         # Reject a non-positive --jobs / REPRO_JOBS before any work starts.
@@ -1683,14 +1612,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         except ValueError as exc:
             print(exc, file=sys.stderr)
             return 2
-    if args.command == "bench":
-        from repro.perf.gate import DEFAULT_TOLERANCE
-        from repro.perf.harness import CURRENT_BENCH_ID
-
-        if args.tolerance is None:
-            args.tolerance = DEFAULT_TOLERANCE
-        if args.bench_id is None:
-            args.bench_id = CURRENT_BENCH_ID
     return handlers[args.command](args)
 
 

@@ -51,6 +51,7 @@ from repro.consistency.litmus import (LitmusTest, LitmusThread,
                                       generate_random_test)
 from repro.consistency.runner import LitmusResult, run_litmus_on_simulator
 from repro.consistency.tso_model import Outcome, enumerate_tso_outcomes
+from repro.registry import Registry
 from repro.sim.config import SystemConfig
 
 #: Version of the fuzz-cell payload layout.  Mixed into every fuzz cell's
@@ -523,36 +524,10 @@ class CampaignResult:
 # ------------------------------------------------------------------ registry
 
 #: Registered campaigns by name, in registration order.
-CAMPAIGNS: Dict[str, FuzzCampaign] = {}
-
-
-def register_campaign(spec: FuzzCampaign) -> FuzzCampaign:
-    """Register a campaign under its name.
-
-    Raises:
-        ValueError: on a duplicate name.
-    """
-    if spec.name in CAMPAIGNS:
-        raise ValueError(f"campaign {spec.name!r} is already registered")
-    CAMPAIGNS[spec.name] = spec
-    return spec
-
-
-def get_campaign(name: str) -> FuzzCampaign:
-    """Resolve a registered campaign by name.
-
-    Raises:
-        KeyError: for an unknown campaign name.
-    """
-    if name not in CAMPAIGNS:
-        raise KeyError(
-            f"unknown fuzz campaign {name!r}; known: {', '.join(CAMPAIGNS)}")
-    return CAMPAIGNS[name]
-
-
-def list_campaigns() -> List[FuzzCampaign]:
-    """Every registered campaign, in registration order."""
-    return list(CAMPAIGNS.values())
+CAMPAIGNS: Registry[FuzzCampaign] = Registry("fuzz campaign")
+register_campaign = CAMPAIGNS.register
+get_campaign = CAMPAIGNS.__getitem__
+list_campaigns = CAMPAIGNS.registered
 
 
 # ------------------------------------------------------------------ replay

@@ -25,12 +25,14 @@ from __future__ import annotations
 
 from typing import Any, ClassVar, Dict, List, Optional, Sequence, Type
 
+from repro.registry import Registry
+
 #: Protocol families by ``kind`` (one entry per :func:`register_protocol`).
 PROTOCOL_FAMILIES: Dict[str, Type["Protocol"]] = {}
 
 #: Named protocol configurations (every instance returned by the families'
 #: :meth:`Protocol.configurations`), in registration order.
-_REGISTRY: Dict[str, "Protocol"] = {}
+_REGISTRY: Registry["Protocol"] = Registry("protocol")
 
 #: The configurations evaluated in the paper, in the order of the figures.
 #: (A subset of the full registry: protocols registered with
@@ -176,9 +178,7 @@ def register_configuration(protocol: Protocol) -> Protocol:
     Raises:
         ValueError: if the name is already taken.
     """
-    if protocol.name in _REGISTRY:
-        raise ValueError(f"protocol {protocol.name!r} is already registered")
-    _REGISTRY[protocol.name] = protocol
+    _REGISTRY.register(protocol)
     if protocol.in_paper:
         PAPER_CONFIGURATIONS[protocol.name] = protocol
     return protocol
@@ -250,9 +250,8 @@ def unregister_configuration(name: str) -> None:
             members.remove(name)
 
 
-def registered_protocols() -> List[Protocol]:
-    """Every registered protocol configuration, in registration order."""
-    return list(_REGISTRY.values())
+#: Every registered protocol configuration, in registration order.
+registered_protocols = _REGISTRY.registered
 
 
 def list_protocol_names() -> List[str]:
@@ -271,11 +270,6 @@ def get_protocol(name_or_protocol) -> Protocol:
     if isinstance(name_or_protocol, Protocol):
         return name_or_protocol
     if isinstance(name_or_protocol, str):
-        if name_or_protocol not in _REGISTRY:
-            raise KeyError(
-                f"unknown protocol {name_or_protocol!r}; "
-                f"known: {', '.join(_REGISTRY)}"
-            )
         return _REGISTRY[name_or_protocol]
     # Ad-hoc TSO-CC configurations (tests build narrow-timestamp variants on
     # the fly) resolve to an unregistered instance of the tsocc family.

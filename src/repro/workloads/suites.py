@@ -17,12 +17,10 @@ Suites carry a version so a changed set is visible in reports and reviews
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Tuple
 
+from repro.registry import Registry
 from repro.workloads.benchmarks import BENCHMARK_FAMILIES
-
-#: Registered suites by name, in registration order.
-SUITES: Dict[str, "Suite"] = {}
 
 
 @dataclass(frozen=True)
@@ -48,32 +46,11 @@ class Suite:
             raise ValueError(f"suite {self.name!r}: duplicate workloads")
 
 
-def register_suite(spec: Suite) -> Suite:
-    """Register a suite under its name.
-
-    Raises:
-        ValueError: on a duplicate name.
-    """
-    if spec.name in SUITES:
-        raise ValueError(f"suite {spec.name!r} is already registered")
-    SUITES[spec.name] = spec
-    return spec
-
-
-def get_suite(name: str) -> Suite:
-    """Resolve a registered suite by name.
-
-    Raises:
-        KeyError: for an unknown suite name.
-    """
-    if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}; known: {', '.join(SUITES)}")
-    return SUITES[name]
-
-
-def list_suites() -> List[Suite]:
-    """Every registered suite, in registration order."""
-    return list(SUITES.values())
+#: Registered suites by name, in registration order.
+SUITES: Registry[Suite] = Registry("suite")
+register_suite = SUITES.register
+get_suite = SUITES.__getitem__
+list_suites = SUITES.registered
 
 
 def suite(name: str) -> Tuple[str, ...]:

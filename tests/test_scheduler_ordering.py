@@ -157,29 +157,38 @@ def test_max_cycles_applies_to_spilled_events():
     assert sim.events_executed == 0
 
 
-def test_max_events_counts_across_wraparound():
+def test_events_executed_counts_across_wraparound():
     sim = Simulator(ring_size=8)
+    ticks = {"n": 0}
 
     def tick():
+        ticks["n"] += 1
+        if ticks["n"] == 50:
+            sim.request_stop()
         sim.schedule(3, tick)
 
     sim.schedule(0, tick)
-    with pytest.raises(RuntimeError, match="max_events"):
-        sim.run(max_events=50)
+    sim.run()
     assert sim.events_executed == 50
+    assert sim.now == 49 * 3  # the ring of 8 wrapped many times
 
 
-def test_until_predicate_with_small_ring():
+def test_request_stop_with_small_ring():
+    """Events that always take the spill-heap detour run in time order and
+    stop exactly where the stop was requested."""
     sim = Simulator(ring_size=8)
-    counter = {"n": 0}
+    times = []
 
     def tick():
-        counter["n"] += 1
+        times.append(sim.now)
+        if len(times) == 4:
+            sim.request_stop()
         sim.schedule(13, tick)  # always spills
 
     sim.schedule(0, tick)
-    sim.run(until=lambda: counter["n"] >= 4)
-    assert counter["n"] == 4
+    sim.run()
+    assert times == [0, 13, 26, 39]
+    assert sim.pending_events == 1  # the spilled tick after the stop
 
 
 # ------------------------------------------------------------------ ring sizing

@@ -39,19 +39,6 @@ def test_negative_delay_rejected():
         sim.schedule_at(1, lambda: None)
 
 
-def test_until_predicate_stops_run():
-    sim = Simulator()
-    counter = {"n": 0}
-
-    def tick():
-        counter["n"] += 1
-        sim.schedule(1, tick)
-
-    sim.schedule(0, tick)
-    sim.run(until=lambda: counter["n"] >= 5)
-    assert counter["n"] == 5
-
-
 def test_max_cycles_watchdog():
     sim = Simulator()
 
@@ -61,17 +48,6 @@ def test_max_cycles_watchdog():
     sim.schedule(0, forever)
     with pytest.raises(RuntimeError):
         sim.run(max_cycles=1000)
-
-
-def test_max_events_watchdog():
-    sim = Simulator()
-
-    def forever():
-        sim.schedule(1, forever)
-
-    sim.schedule(0, forever)
-    with pytest.raises(RuntimeError):
-        sim.run(max_events=50)
 
 
 def test_max_cycles_checked_before_running_offending_event():
@@ -86,19 +62,6 @@ def test_max_cycles_checked_before_running_offending_event():
     assert ran == ["ok"]
     assert "2000" in str(exc.value)  # reports the offending event's time
     assert sim.now == 5  # clock never advanced past the last legal event
-
-
-def test_max_events_message_says_reached_at_exact_count():
-    sim = Simulator()
-
-    def forever():
-        sim.schedule(1, forever)
-
-    sim.schedule(0, forever)
-    with pytest.raises(RuntimeError) as exc:
-        sim.run(max_events=50)
-    assert "reached max_events=50" in str(exc.value)
-    assert sim.events_executed == 50  # stops at exactly the limit
 
 
 def test_request_stop_halts_run_and_preserves_queue():
