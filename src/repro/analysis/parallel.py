@@ -15,6 +15,9 @@ parallel.  This module provides the execution subsystem underneath
   :class:`~repro.sim.stats.SystemStats` objects on the parent side.
   Worker count comes from ``jobs``, the ``REPRO_JOBS`` environment
   variable, or ``os.cpu_count()``.
+* :func:`run_spec` — checks a whole cell-matrix spec (a sweep or a fuzz
+  campaign) against the protocol registry and runs it through one
+  executor per platform.
 * :class:`ResultCache` — a content-addressed on-disk cache (default location
   ``benchmarks/results/cache/``).  The key is the SHA-256 of the canonical
   JSON of (system configuration, protocol name, workload name, scale,
@@ -682,3 +685,55 @@ class MatrixExecutor:
                 except KeyError:
                     raise self._not_executed(protocol, workload_name) from None
         return matrix
+
+
+def run_spec(spec, jobs: Optional[int] = None,
+             cache: Optional[ResultCache] = None,
+             shard: Optional[Tuple[int, int]] = None,
+             ) -> Tuple[Dict[Tuple[str, str, int, float], object], int]:
+    """Run every cell of a cell-matrix spec through the cached, parallel
+    :class:`MatrixExecutor`: one executor per ``(cores, scale)`` platform,
+    since the platform and the scale are part of the cache key.
+
+    ``spec`` is a :class:`~repro.analysis.sweeps.SweepSpec` or a
+    :class:`~repro.consistency.fuzz.FuzzCampaign`: anything with ``name``,
+    ``noun``, ``protocols``, ``cells()``, ``cell_kind`` and ``max_cycles``.
+
+    Args:
+        jobs: worker-process count per platform.
+        cache: optional on-disk result cache shared by every cell.
+        shard: ``(index, count)``; ``None`` resolves ``REPRO_SHARD``.  A
+            sharded run simulates only its own subset of the cells.
+
+    Returns:
+        ``(cells, simulations_run)``: the decoded result of every executed
+        or cached cell, keyed ``(protocol, workload, cores, scale)``, and
+        the number of cells actually simulated.
+
+    Raises:
+        KeyError: if a protocol name is not registered.
+        WorkloadValidationError: if a stats cell fails functional
+            validation.
+    """
+    from repro.protocols.registry import list_protocol_names
+
+    known = set(list_protocol_names())
+    unknown = [p for p in spec.protocols if p not in known]
+    if unknown:
+        raise KeyError(
+            f"{spec.noun} {spec.name!r} references unregistered protocols: "
+            f"{', '.join(unknown)}")
+    platforms: Dict[Tuple[int, float], List[Tuple[str, str]]] = {}
+    for cores, scale, protocol, workload in spec.cells():
+        platforms.setdefault((cores, scale), []).append((protocol, workload))
+    results: Dict[Tuple[str, str, int, float], object] = {}
+    simulations = 0
+    for (cores, scale), cells in platforms.items():
+        executor = MatrixExecutor(
+            SystemConfig().scaled(num_cores=cores), scale=scale,
+            max_cycles=spec.max_cycles, jobs=jobs, cache=cache, shard=shard,
+            kind=spec.cell_kind)
+        for (protocol, workload), result in executor.run_cells(cells).items():
+            results[(protocol, workload, cores, scale)] = result
+        simulations += executor.simulations_run
+    return results, simulations

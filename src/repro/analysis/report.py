@@ -247,6 +247,9 @@ class SpecReport:
         spec: the reported spec (``SweepSpec`` surface: ``name``,
             ``description``, axis tuples, ``cells()``; fuzz campaigns
             report through here too).
+        kind: the :class:`CellKind` of the cells' decoded values
+            (:meth:`from_cache` and :meth:`from_stats` take it from
+            ``spec.cell_kind``).
         baseline: protocol name normalized columns divide against
             (``None`` disables normalization).
         fields: the declared fields reported, in declaration order
@@ -256,9 +259,10 @@ class SpecReport:
     """
 
     def __init__(self, spec, cells: Dict[Tuple[str, str, int, float], object],
-                 baseline: Optional[str] = None) -> None:
+                 baseline: Optional[str] = None,
+                 kind: Union[str, CellKind] = "stats") -> None:
         self.spec = spec
-        self.kind: CellKind = get_cell_kind(getattr(spec, "cell_kind", "stats"))
+        self.kind: CellKind = get_cell_kind(kind)
         self.baseline = baseline
         self.fields: Tuple[ReportField, ...] = self._select_fields()
         self.warnings: List[str] = []
@@ -312,7 +316,7 @@ class SpecReport:
         from repro.analysis.shard import plan_sweep
 
         root = _cache_root(cache)
-        kind = get_cell_kind(getattr(spec, "cell_kind", "stats"))
+        kind = get_cell_kind(spec.cell_kind)
         cells: Dict[Tuple[str, str, int, float], object] = {}
         for cell in plan_sweep(spec, shard_count=1).cells:
             payload = read_entry(root / cell.key[:2] / f"{cell.key}.json")
@@ -322,7 +326,7 @@ class SpecReport:
                 kind.decode(payload)
         if baseline is None:
             baseline = getattr(spec, "baseline", None)
-        return cls(spec, cells, baseline=baseline)
+        return cls(spec, cells, baseline=baseline, kind=kind)
 
     @classmethod
     def from_stats(cls, spec,
@@ -332,7 +336,7 @@ class SpecReport:
         of decoded objects) in the same aggregation pipeline."""
         if baseline is None:
             baseline = getattr(spec, "baseline", None)
-        return cls(spec, dict(stats), baseline=baseline)
+        return cls(spec, dict(stats), baseline=baseline, kind=spec.cell_kind)
 
     # ------------------------------------------------------------- queries
 

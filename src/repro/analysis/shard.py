@@ -17,9 +17,8 @@ count)`` pair (:func:`resolve_shard`) handed to
 cache misses its shard owns.  Built on the same function:
 
 * :func:`plan_sweep` / :class:`ShardPlan` — expands a
-  :class:`~repro.analysis.sweeps.SweepSpec` into per-shard **manifests**
-  (JSON cell lists with their keys) for inspection or for driving CI
-  matrices (``repro shard plan``).
+  :class:`~repro.analysis.sweeps.SweepSpec` (or a fuzz campaign) into its
+  cells with their keys and shard assignments (``repro shard plan``).
 * :func:`merge_results` / :func:`missing_cells` — reassemble per-shard
   result directories into one :class:`~repro.analysis.parallel.ResultCache`
   and verify a sweep is fully covered (``repro shard merge``).
@@ -33,7 +32,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Iterable, List, Optional, Tuple, Union
 
 
 def shard_of_key(key: str, shard_count: int) -> int:
@@ -95,7 +94,6 @@ class PlannedCell:
 class ShardPlan:
     """A sweep's full cell expansion partitioned into N disjoint shards."""
 
-    sweep: str
     shard_count: int
     cells: Tuple[PlannedCell, ...]
 
@@ -113,63 +111,27 @@ class ShardPlan:
             sizes[cell.shard] += 1
         return sizes
 
-    def manifest(self, shard_index: int) -> Dict[str, object]:
-        """The JSON-serializable manifest for one shard."""
-        from repro.analysis.parallel import CACHE_SCHEMA_VERSION
-        from repro.sim.stats import STATS_SCHEMA_VERSION
-
-        return {
-            "sweep": self.sweep,
-            "shard_index": shard_index,
-            "shard_count": self.shard_count,
-            "cache_schema": CACHE_SCHEMA_VERSION,
-            "stats_schema": STATS_SCHEMA_VERSION,
-            "cells": [{
-                "cores": cell.cores,
-                "scale": cell.scale,
-                "protocol": cell.protocol,
-                "workload": cell.workload,
-                "key": cell.key,
-            } for cell in self.shard_cells(shard_index)],
-        }
-
-    def write(self, out_dir: Union[str, Path]) -> List[Path]:
-        """Write one ``shard-<i>-of-<n>.json`` manifest per shard."""
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        paths = []
-        for shard_index in range(self.shard_count):
-            path = out_dir / f"shard-{shard_index}-of-{self.shard_count}.json"
-            path.write_text(
-                json.dumps(self.manifest(shard_index), indent=2,
-                           sort_keys=True) + "\n",
-                encoding="utf-8")
-            paths.append(path)
-        return paths
-
 
 def plan_sweep(spec, shard_count: int) -> ShardPlan:
     """Partition a sweep's cell expansion into ``shard_count`` shards.
 
     Accepts any object with the :class:`~repro.analysis.sweeps.SweepSpec`
-    surface (``name``, ``cells()``, ``max_cycles``, and optionally
-    ``cell_kind`` — fuzz campaigns plan through here too).  The plan is
-    fully deterministic: the same spec and shard count yield the same
-    manifests on every machine.
+    surface (``name``, ``cells()``, ``max_cycles`` and ``cell_kind`` —
+    fuzz campaigns plan through here too).  The plan is fully
+    deterministic: the same spec and shard count yield the same assignment
+    on every machine.
     """
     from repro.analysis.parallel import cell_key
     from repro.sim.config import SystemConfig
 
-    kind = getattr(spec, "cell_kind", "stats")
     cells = []
     for cores, scale, protocol, workload in spec.cells():
         key = cell_key(SystemConfig().scaled(num_cores=cores), protocol,
-                       workload, scale, spec.max_cycles, kind=kind)
+                       workload, scale, spec.max_cycles, kind=spec.cell_kind)
         cells.append(PlannedCell(cores=cores, scale=scale, protocol=protocol,
                                  workload=workload, key=key,
                                  shard=shard_of_key(key, shard_count)))
-    return ShardPlan(sweep=spec.name, shard_count=shard_count,
-                     cells=tuple(cells))
+    return ShardPlan(shard_count=shard_count, cells=tuple(cells))
 
 
 # ---------------------------------------------------------------------- merging

@@ -15,7 +15,8 @@ mix.  A :class:`SweepSpec` declares such a study as data::
 
 and :meth:`SweepSpec.run` expands the axes (protocol variant × workload ×
 cores × scale) into the parallel, cache-backed
-:class:`~repro.analysis.parallel.MatrixExecutor`.  Because every axis point
+:class:`~repro.analysis.parallel.MatrixExecutor`
+(:func:`~repro.analysis.parallel.run_spec`).  Because every axis point
 is a *registered, named* protocol configuration
 (:mod:`repro.protocols.tsocc.variants`), sweep cells ship to worker
 processes and persist in the content-addressed result cache exactly like
@@ -41,11 +42,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.parallel import (MatrixExecutor, ReportField, ResultCache,
-                                     declare_report_fields)
-from repro.protocols.registry import list_protocol_names, variant_group
+from repro.analysis.parallel import (ReportField, ResultCache,
+                                     declare_report_fields, run_spec)
+from repro.protocols.registry import variant_group
 from repro.registry import Registry
-from repro.sim.config import SystemConfig
 from repro.sim.stats import SystemStats
 from repro.workloads.catalog import canonical_workload_name
 from repro.workloads.suites import get_suite
@@ -120,6 +120,10 @@ class SweepSpec:
     metrics: Tuple[str, ...] = ("cycles", "flits")
     max_cycles: int = 200_000_000
     baseline: Optional[str] = None
+
+    #: Cell kind this spec's cells compute, and what messages call a sweep.
+    cell_kind = "stats"
+    noun = "sweep"
 
     def __post_init__(self) -> None:
         if not self.protocols or not self.workloads:
@@ -217,9 +221,8 @@ class SweepSpec:
     def run(self, jobs: Optional[int] = None,
             cache: Optional[ResultCache] = None,
             shard: Optional[Tuple[int, int]] = None) -> "SweepResult":
-        """Expand and execute every cell through the cached, parallel
-        :class:`MatrixExecutor` (one executor per platform point, since the
-        platform configuration and scale are part of the cache key).
+        """Expand and execute every cell through
+        :func:`~repro.analysis.parallel.run_spec`.
 
         Args:
             jobs: worker-process count per platform point.
@@ -235,34 +238,8 @@ class SweepSpec:
             WorkloadValidationError: if any cell produces functionally
                 invalid results (protocol correctness bug).
         """
-        known = set(list_protocol_names())
-        missing = [p for p in self.protocols if p not in known]
-        if missing:
-            raise KeyError(
-                f"sweep {self.name!r} references unregistered protocols: "
-                f"{', '.join(missing)}"
-            )
-        workloads = self.resolved_workloads()
-        stats: Dict[Tuple[str, str, int, float], SystemStats] = {}
-        simulations = 0
-        for cores in self.cores:
-            for scale in self.scales:
-                executor = MatrixExecutor(
-                    SystemConfig().scaled(num_cores=cores),
-                    scale=scale,
-                    max_cycles=self.max_cycles,
-                    jobs=jobs,
-                    cache=cache,
-                    shard=shard,
-                )
-                cell_stats = executor.run_cells(
-                    [(protocol, workload)
-                     for protocol in self.protocols
-                     for workload in workloads]
-                )
-                simulations += executor.simulations_run
-                for (protocol, workload), cell in cell_stats.items():
-                    stats[(protocol, workload, cores, scale)] = cell
+        stats, simulations = run_spec(self, jobs=jobs, cache=cache,
+                                      shard=shard)
         return SweepResult(spec=self, stats=stats, simulations_run=simulations)
 
 

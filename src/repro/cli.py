@@ -53,6 +53,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 from typing import List, Optional
 
@@ -65,12 +66,12 @@ from repro.analysis.report import (SpecReport, diff_snapshots, gather_cells,
                                    render_dashboard, render_table)
 from repro.analysis.shard import (merge_results, missing_cells, plan_sweep,
                                   resolve_shard)
-from repro.analysis.sweeps import SWEEPS, SweepSpec, get_sweep, list_sweeps
+from repro.analysis.sweeps import SWEEPS, SweepSpec, list_sweeps
 from repro.analysis.tables import format_series_table, format_table, protocol_rows
 from repro.consistency import canonical_tests, generate_random_test, verify_litmus
-from repro.consistency.fuzz import (CAMPAIGNS, format_test, get_campaign,
+from repro.consistency.fuzz import (CAMPAIGNS, cell_shape, format_test,
                                     list_campaigns, replay_cell, shrink_cell)
-from repro.protocols.registry import list_protocol_names
+from repro.protocols.registry import get_protocol, list_protocol_names
 from repro.protocols.storage import StorageModel
 from repro.protocols.tsocc.config import PAPER_TSOCC_CONFIGS
 from repro.sim.config import SystemConfig
@@ -80,10 +81,35 @@ from repro.workloads.suites import get_suite, list_suites as list_workload_suite
 from repro.workloads.tracefile import (Trace, canonical_trace_name,
                                        capture_trace, default_trace_dir,
                                        is_trace_name, list_traces,
-                                       trace_digest, trace_workload)
+                                       trace_digest, trace_path,
+                                       trace_workload)
 
 #: Where ``figure --save`` writes its regenerated tables.
 DEFAULT_RESULTS_DIR = _default_results_root()
+
+
+# ------------------------------------------------------------ input policy
+
+class UsageError(Exception):
+    """User input that does not resolve: :func:`main` prints the message
+    and exits 2."""
+
+
+def _message(exc: Exception) -> str:
+    # A KeyError's str() is the repr of its argument; print the text.
+    return str(exc.args[0] if exc.args else exc)
+
+
+@contextmanager
+def _resolving():
+    """Turn a failure to resolve user input (an unknown name, a malformed
+    number, a missing trace file) into a :class:`UsageError`.  Wrap only
+    resolution, never a simulation: an exception raised inside a run keeps
+    its traceback."""
+    try:
+        yield
+    except (KeyError, ValueError, FileNotFoundError) as exc:
+        raise UsageError(_message(exc)) from None
 
 
 def _split(value: Optional[str]) -> Optional[List[str]]:
@@ -91,6 +117,101 @@ def _split(value: Optional[str]) -> Optional[List[str]]:
         return None
     return [item.strip() for item in value.split(",") if item.strip()]
 
+
+def _numbers(value: Optional[str], parse, flag: str) -> Optional[list]:
+    """Parse a comma-separated list of positive numbers (``None`` when
+    absent).
+
+    Raises:
+        ValueError: naming the flag and the malformed value.
+    """
+    items = _split(value)
+    if items is None:
+        return None
+    try:
+        numbers = [parse(item) for item in items]
+        if numbers and min(numbers) > 0:
+            return numbers
+    except ValueError:
+        pass
+    raise ValueError(f"{flag} takes comma-separated positive "
+                     f"{parse.__name__} values, got {value!r}")
+
+
+def _check_names(protocols=(), workloads=(), platforms=()) -> None:
+    """Look every protocol up in the registry and build every workload on
+    every ``(cores, scale)`` platform once — cheap, since programs are
+    generated lazily — so an unknown name, a missing trace file or a
+    platform too small for a workload fails before any simulation.
+
+    Raises:
+        KeyError, ValueError, FileNotFoundError: for the first input that
+            does not resolve.
+    """
+    for protocol in protocols:
+        get_protocol(protocol)
+    for workload in workloads:
+        for cores, scale in platforms:
+            make_workload(workload, num_cores=cores, scale=scale)
+
+
+def _named_spec(name: str, registry=None):
+    """The spec registered as ``name`` in ``registry`` — or, when
+    ``registry`` is ``None``, a sweep or failing that a fuzz campaign (both
+    report through the same declared-field pipeline).
+
+    Raises:
+        KeyError: the name is not registered.
+    """
+    if registry is not None:
+        return registry[name]
+    if name in SWEEPS:
+        return SWEEPS[name]
+    if name in CAMPAIGNS:
+        return CAMPAIGNS[name]
+    raise KeyError(f"unknown sweep or campaign {name!r}; see "
+                   f"'repro sweep --list' and 'repro fuzz list'")
+
+
+def _spec(args: argparse.Namespace):
+    """Resolve ``args.name`` against ``args.registry`` with the command's
+    overrides, then every protocol and workload on it, so a typo fails
+    before anything is planned, run or merged."""
+    with _resolving():
+        spec = _named_spec(args.name, args.registry)
+        if isinstance(spec, SweepSpec):
+            spec = spec.subset(
+                protocols=_split(args.protocols),
+                workloads=_split(args.workloads),
+                cores=_numbers(args.cores, int, "--cores"),
+                scales=_numbers(args.scales, float, "--scales"),
+            )
+            _check_names(workloads=spec.resolved_workloads(),
+                         platforms=[(cores, scale) for cores in spec.cores
+                                    for scale in spec.scales])
+        elif "seeds" in args:
+            spec = spec.subset(protocols=_split(args.protocols),
+                               num_seeds=args.seeds,
+                               seed_start=args.seed_start)
+        _check_names(protocols=spec.protocols)
+    return spec
+
+
+def _shard(args: argparse.Namespace):
+    with _resolving():
+        return resolve_shard(args.shard_index, args.shard_count)
+
+
+def _make_cache(args: argparse.Namespace) -> ResultCache:
+    return ResultCache(Path(args.cache_dir), enabled=not args.no_cache)
+
+
+def _print_executed(spec, executed: int, simulated: int) -> None:
+    print(f"({executed} of {spec.num_cells} cells executed: "
+          f"{simulated} simulated, {executed - simulated} from cache)")
+
+
+# ------------------------------------------------------------ commands
 
 def _cmd_list(_args: argparse.Namespace) -> int:
     print("Protocol configurations:")
@@ -104,7 +225,8 @@ def _cmd_list(_args: argparse.Namespace) -> int:
 
 
 def _cmd_protocols(args: argparse.Namespace) -> int:
-    config = SystemConfig().with_cores(args.cores)
+    with _resolving():
+        config = SystemConfig().with_cores(args.cores)
     rows = protocol_rows(system_config=config)
     print(format_table(
         rows,
@@ -113,41 +235,25 @@ def _cmd_protocols(args: argparse.Namespace) -> int:
     return 0
 
 
-def _make_cache(args: argparse.Namespace) -> ResultCache:
-    return ResultCache(Path(args.cache_dir), enabled=not args.no_cache)
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     protocols = args.protocol or ["MESI", "TSO-CC-4-12-3"]
-    try:
-        # Resolve the workload name eagerly (and canonicalize it for the
-        # cache key) so a typo, a missing trace file or a digest mismatch
-        # fails fast instead of surfacing inside a worker process.
+    with _resolving():
+        # Resolve the workload eagerly (and canonicalize it for the cache
+        # key) so a typo, a missing trace file or a digest mismatch fails
+        # fast instead of surfacing inside a worker process.
         workload_name = canonical_workload_name(args.workload)
-        make_workload(workload_name, num_cores=args.cores, scale=args.scale)
-    except (KeyError, ValueError, FileNotFoundError) as exc:
-        print(exc.args[0] if exc.args else exc, file=sys.stderr)
-        return 2
-    try:
-        runner = ExperimentRunner(
-            system_config=SystemConfig().scaled(num_cores=args.cores),
-            protocols=protocols,
-            workloads=[workload_name],
-            scale=args.scale,
-            max_cycles=args.max_cycles,
-            jobs=args.jobs,
-            cache=_make_cache(args),
-            shard=resolve_shard(args.shard_index, args.shard_count),
-        )
-    except ValueError as exc:
-        # Bad shard coordinates (flags or REPRO_SHARD).
-        print(exc, file=sys.stderr)
-        return 2
-    try:
-        runner.run_all()
-    except WorkloadValidationError as exc:
-        print(f"FAIL: {exc}", file=sys.stderr)
-        return 1
+        _check_names(protocols, [workload_name], [(args.cores, args.scale)])
+    runner = ExperimentRunner(
+        system_config=SystemConfig().scaled(num_cores=args.cores),
+        protocols=protocols,
+        workloads=[workload_name],
+        scale=args.scale,
+        max_cycles=args.max_cycles,
+        jobs=args.jobs,
+        cache=_make_cache(args),
+        shard=_shard(args),
+    )
+    runner.run_all()
     rows = []
     skipped = []
     for protocol in protocols:
@@ -172,58 +278,63 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+#: ``repro figure`` numbers and the :class:`ExperimentRunner` methods that
+#: compute them.
+_FIGURES = {
+    "2": "figure2_storage",
+    "3": "figure3_execution_time",
+    "4": "figure4_network_traffic",
+    "5": "figure5_miss_breakdown",
+    "6": "figure6_hit_breakdown",
+    "7": "figure7_selfinval_triggers",
+    "8": "figure8_rmw_latency",
+    "9": "figure9_selfinval_causes",
+}
+
+
 def _cmd_figure(args: argparse.Namespace) -> int:
-    try:
-        runner = ExperimentRunner(
-            system_config=SystemConfig().scaled(num_cores=args.cores),
-            protocols=_split(args.protocols),
-            workloads=_split(args.workloads),
-            scale=args.scale,
-            jobs=args.jobs,
-            cache=_make_cache(args),
-        )
-    except ValueError as exc:
-        # A malformed REPRO_SHARD.
-        print(exc, file=sys.stderr)
-        return 2
-    if runner.executor.shard is not None:
+    with _resolving():
+        shard = resolve_shard()
+    if shard is not None:
         # A figure needs every cell of its matrix; refuse up front instead
         # of simulating one shard and crashing on the first missing cell.
-        print("repro figure needs the full matrix and cannot run sharded; "
-              "unset REPRO_SHARD (shard a sweep with 'repro shard run' "
-              "instead)", file=sys.stderr)
-        return 2
-    methods = {
-        "2": runner.figure2_storage,
-        "3": runner.figure3_execution_time,
-        "4": runner.figure4_network_traffic,
-        "5": runner.figure5_miss_breakdown,
-        "6": runner.figure6_hit_breakdown,
-        "7": runner.figure7_selfinval_triggers,
-        "8": runner.figure8_rmw_latency,
-        "9": runner.figure9_selfinval_causes,
-    }
-    if args.number not in methods:
-        print(f"unknown figure {args.number!r}; choose one of {', '.join(methods)}",
-              file=sys.stderr)
-        return 2
-    try:
-        figure = methods[args.number]()
-    except WorkloadValidationError as exc:
-        print(f"FAIL: {exc}", file=sys.stderr)
-        return 1
+        raise UsageError("repro figure needs the full matrix and cannot run "
+                         "sharded; unset REPRO_SHARD (shard a sweep with "
+                         "'repro shard run' instead)")
+    if args.number not in _FIGURES:
+        raise UsageError(f"unknown figure {args.number!r}; choose one of "
+                         f"{', '.join(_FIGURES)}")
+    protocols = _split(args.protocols)
+    workloads = _split(args.workloads)
+    if args.number != "2":  # the storage model simulates nothing
+        with _resolving():
+            _check_names(protocols or (), workloads or benchmark_names(),
+                         [(args.cores, args.scale)])
+    runner = ExperimentRunner(
+        system_config=SystemConfig().scaled(num_cores=args.cores),
+        protocols=protocols,
+        workloads=workloads,
+        scale=args.scale,
+        jobs=args.jobs,
+        cache=_make_cache(args),
+    )
+    figure = getattr(runner, _FIGURES[args.number])()
     label = "cores" if args.number == "2" else "workload"
     table = format_series_table(figure.series, row_order=figure.row_order,
                                 title=f"{figure.figure} — {figure.description}",
                                 row_label=label)
     print(table)
     if args.save:
-        results_dir = Path(args.results_dir)
-        results_dir.mkdir(parents=True, exist_ok=True)
-        out = results_dir / f"figure{args.number}.txt"
-        out.write_text(table + "\n", encoding="utf-8")
-        print(f"saved {out}")
+        _save(args, f"figure{args.number}.txt", table)
     return 0
+
+
+def _save(args: argparse.Namespace, name: str, table: str) -> None:
+    results_dir = Path(args.results_dir)
+    results_dir.mkdir(parents=True, exist_ok=True)
+    out = results_dir / name
+    out.write_text(table + "\n", encoding="utf-8")
+    print(f"saved {out}")
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -247,12 +358,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         } for spec in list_sweeps()]
         print(format_table(rows, title="Registered sensitivity sweeps"))
         return 0
-    try:
-        spec = _sharded_spec(args)
-    except (KeyError, ValueError) as exc:
-        # Unknown sweep name, or malformed --cores/--scales overrides.
-        print(exc.args[0] if exc.args else exc, file=sys.stderr)
-        return 2
+    spec = _spec(args)
     if args.cells:
         rows = [{"cores": cores, "scale": scale, "protocol": protocol,
                  "workload": workload}
@@ -260,26 +366,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(format_table(rows, title=f"Sweep {spec.name}: {spec.num_cells} cells"))
         return 0
     cache = _make_cache(args)
-    try:
-        shard = resolve_shard(args.shard_index, args.shard_count)
-        result = spec.run(jobs=args.jobs, cache=cache, shard=shard)
-    except ValueError as exc:
-        # Bad shard flags.
-        print(exc, file=sys.stderr)
-        return 2
-    except KeyError as exc:
-        # e.g. a typo in --protocols: unregistered configuration names.
-        print(exc.args[0], file=sys.stderr)
-        return 2
-    except WorkloadValidationError as exc:
-        print(f"FAIL: {exc}", file=sys.stderr)
-        return 1
+    result = spec.run(jobs=args.jobs, cache=cache, shard=_shard(args))
     table = result.tabulate(per_cell=args.per_cell)
     print(table)
-    executed = len(result.stats)
-    print(f"({executed} of {spec.num_cells} cells executed: "
-          f"{result.simulations_run} simulated, "
-          f"{executed - result.simulations_run} from cache)")
+    _print_executed(spec, len(result.stats), result.simulations_run)
     if args.figure or args.baseline:
         report = result.report(baseline=args.baseline)
         if report.baseline is not None:
@@ -292,68 +382,31 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         for warning in report.warnings:
             print(f"warning: {warning}", file=sys.stderr)
     if args.save:
-        results_dir = Path(args.results_dir)
-        results_dir.mkdir(parents=True, exist_ok=True)
-        out = results_dir / f"sweep_{spec.name}.txt"
-        out.write_text(table + "\n", encoding="utf-8")
-        print(f"saved {out}")
+        _save(args, f"sweep_{spec.name}.txt", table)
     return 0
 
 
-def _sharded_spec(args: argparse.Namespace):
-    """Resolve a named sweep with its axis overrides (shared by ``repro
-    sweep`` and the ``repro shard`` sub-commands).
-
-    Raises:
-        KeyError: unknown sweep name, or ``--protocols`` naming an
-            unregistered configuration (caught here so ``shard plan`` does
-            not emit manifests that can only fail at run time).
-        ValueError: malformed ``--cores``/``--scales`` overrides.
-    """
-    spec = get_sweep(args.name).subset(
-        protocols=_split(getattr(args, "protocols", None)),
-        workloads=_split(getattr(args, "workloads", None)),
-        cores=[int(c) for c in _split(getattr(args, "cores", None)) or []] or None,
-        scales=[float(s) for s in _split(getattr(args, "scales", None)) or []] or None,
-    )
-    unknown = [p for p in spec.protocols if p not in set(list_protocol_names())]
-    if unknown:
-        raise KeyError(
-            f"sweep {spec.name!r} references unregistered protocols: "
-            f"{', '.join(unknown)}")
-    return spec
-
-
 def _cmd_shard_plan(args: argparse.Namespace) -> int:
-    try:
-        spec = _sharded_spec(args)
-        shard_count = args.shard_count
-        if shard_count is None:
-            shard = resolve_shard()
-            shard_count = shard[1] if shard is not None else None
-    except (KeyError, ValueError) as exc:
-        print(exc.args[0] if exc.args else exc, file=sys.stderr)
-        return 2
+    spec = _spec(args)
+    shard_count = args.shard_count
     if shard_count is None:
-        print("shard plan needs --shard-count (or REPRO_SHARD=<index>/<count>)",
-              file=sys.stderr)
-        return 2
+        with _resolving():
+            shard = resolve_shard()
+        shard_count = shard[1] if shard is not None else None
+    if shard_count is None:
+        raise UsageError("shard plan needs --shard-count "
+                         "(or REPRO_SHARD=<index>/<count>)")
     if shard_count < 1:
-        print(f"shard count must be >= 1, got {shard_count}", file=sys.stderr)
-        return 2
+        raise UsageError(f"shard count must be >= 1, got {shard_count}")
     plan = plan_sweep(spec, shard_count)
-    if args.out_dir:
-        for path in plan.write(args.out_dir):
-            print(f"wrote {path}")
-    else:
-        rows = [{"shard": cell.shard, "cores": cell.cores,
-                 "scale": cell.scale, "protocol": cell.protocol,
-                 "workload": cell.workload, "key": cell.key[:12]}
-                for cell in plan.cells]
-        print(format_table(
-            rows,
-            title=f"Sweep {spec.name}: {len(plan.cells)} cells "
-                  f"over {shard_count} shards"))
+    rows = [{"shard": cell.shard, "cores": cell.cores,
+             "scale": cell.scale, "protocol": cell.protocol,
+             "workload": cell.workload, "key": cell.key[:12]}
+            for cell in plan.cells]
+    print(format_table(
+        rows,
+        title=f"Sweep {spec.name}: {len(plan.cells)} cells "
+              f"over {shard_count} shards"))
     sizes = plan.shard_sizes()
     print("cells per shard: "
           + ", ".join(f"{i}:{n}" for i, n in enumerate(sizes)))
@@ -361,26 +414,12 @@ def _cmd_shard_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_shard_run(args: argparse.Namespace) -> int:
-    try:
-        spec = _sharded_spec(args)
-        shard = resolve_shard(args.shard_index, args.shard_count)
-        if shard is None:
-            raise ValueError(
-                "shard run needs --shard-index/--shard-count "
-                "or REPRO_SHARD=<index>/<count>")
-    except (KeyError, ValueError) as exc:
-        print(exc.args[0] if exc.args else exc, file=sys.stderr)
-        return 2
-    try:
-        result = spec.run(jobs=args.jobs, cache=_make_cache(args),
-                          shard=shard)
-    except KeyError as exc:
-        # Unregistered protocol names that slipped past the subset check.
-        print(exc.args[0], file=sys.stderr)
-        return 2
-    except WorkloadValidationError as exc:
-        print(f"FAIL: {exc}", file=sys.stderr)
-        return 1
+    spec = _spec(args)
+    shard = _shard(args)
+    if shard is None:
+        raise UsageError("shard run needs --shard-index/--shard-count "
+                         "or REPRO_SHARD=<index>/<count>")
+    result = spec.run(jobs=args.jobs, cache=_make_cache(args), shard=shard)
     owned = {(cell.protocol, cell.workload, cell.cores, cell.scale)
              for cell in plan_sweep(spec, shard[1]).shard_cells(shard[0])}
     print(result.tabulate(per_cell=True))
@@ -398,14 +437,13 @@ def _cmd_shard_run(args: argparse.Namespace) -> int:
 _MAX_MISSING_LISTED = 20
 
 
-def _merge_into_cache(args: argparse.Namespace, spec, noun: str,
-                      describe_cell) -> int:
-    """Merge ``args.sources`` into ``args.cache_dir`` and (when ``spec``
-    is not None) verify the sweep's/campaign's cells are fully covered —
-    the shared core of ``repro shard merge`` and ``repro fuzz merge``.
-
-    Returns the process exit code (1 on merge failure or missing cells).
-    """
+def _cmd_merge(args: argparse.Namespace) -> int:
+    """``shard merge`` and ``fuzz merge``: merge ``args.sources`` into
+    ``args.cache_dir`` and, when a spec is named, verify its cells are
+    fully covered (exit 1 on merge failure or missing cells)."""
+    # Resolve the spec before touching the destination cache so a bad name
+    # or malformed override fails before any merging happens.
+    spec = _spec(args) if args.name else None
     dest = ResultCache(Path(args.cache_dir))
     try:
         report = merge_results(args.sources, dest)
@@ -421,80 +459,24 @@ def _merge_into_cache(args: argparse.Namespace, spec, noun: str,
     missing = missing_cells(spec, dest)
     if missing:
         print(f"INCOMPLETE: {len(missing)} of {spec.num_cells} cells of "
-              f"{noun} {spec.name!r} missing after merge:", file=sys.stderr)
+              f"{spec.noun} {spec.name!r} missing after merge:",
+              file=sys.stderr)
         for cell in missing[:_MAX_MISSING_LISTED]:
-            print(f"  {describe_cell(cell)}", file=sys.stderr)
+            print(f"  {cell.protocol} x {cell.workload} "
+                  f"(cores {cell.cores}, scale {cell.scale})", file=sys.stderr)
         if len(missing) > _MAX_MISSING_LISTED:
             print(f"  ... and {len(missing) - _MAX_MISSING_LISTED} more",
                   file=sys.stderr)
         return 1
-    print(f"complete: all {spec.num_cells} cells of {noun} "
+    print(f"complete: all {spec.num_cells} cells of {spec.noun} "
           f"{spec.name!r} present")
     return 0
 
 
-def _cmd_shard_merge(args: argparse.Namespace) -> int:
-    spec = None
-    if args.name:
-        # Resolve the sweep before touching the destination cache so a bad
-        # name or malformed axis override fails before any merging happens.
-        try:
-            spec = _sharded_spec(args)
-        except (KeyError, ValueError) as exc:
-            print(exc.args[0] if exc.args else exc, file=sys.stderr)
-            return 2
-    return _merge_into_cache(
-        args, spec, "sweep",
-        lambda cell: (f"{cell.protocol} x {cell.workload} "
-                      f"(cores {cell.cores}, scale {cell.scale})"))
-
-
-def _cmd_shard(args: argparse.Namespace) -> int:
-    handlers = {
-        "plan": _cmd_shard_plan,
-        "run": _cmd_shard_run,
-        "merge": _cmd_shard_merge,
-    }
-    return handlers[args.shard_command](args)
-
-
 # ------------------------------------------------------------------ report
 
-def _sweep_or_campaign(name: str):
-    """A registered sweep or, failing that, a fuzz campaign — both report
-    through the same declared-field pipeline.
-
-    Raises:
-        KeyError: the name matches neither registry.
-    """
-    if name in SWEEPS:
-        return SWEEPS[name]
-    if name in CAMPAIGNS:
-        return CAMPAIGNS[name]
-    raise KeyError(f"unknown sweep or campaign {name!r}; see "
-                   f"'repro sweep --list' and 'repro fuzz list'")
-
-
-def _report_spec(args: argparse.Namespace):
-    """Resolve the reported spec: :func:`_sweep_or_campaign`, with a
-    sweep's axis overrides applied.
-
-    Raises:
-        KeyError: the name matches neither registry, or an override names
-            an unregistered protocol.
-        ValueError: malformed ``--cores``/``--scales`` overrides.
-    """
-    if args.name in SWEEPS:
-        return _sharded_spec(args)
-    return _sweep_or_campaign(args.name)
-
-
 def _cmd_report_sweep(args: argparse.Namespace) -> int:
-    try:
-        spec = _report_spec(args)
-    except (KeyError, ValueError) as exc:
-        print(exc.args[0] if exc.args else exc, file=sys.stderr)
-        return 2
+    spec = _spec(args)
     report = SpecReport.from_cache(spec, Path(args.cache_dir),
                                    baseline=args.baseline)
     if report.num_present == 0:
@@ -546,13 +528,10 @@ def _dashboard_stamp(cache_dir) -> str:
 
 def _cmd_report_dash(args: argparse.Namespace) -> int:
     names = _split(args.sweeps)
+    with _resolving():
+        specs = [_named_spec(name) for name in names or []] or list_sweeps()
     reports = []
-    for name in names or [spec.name for spec in list_sweeps()]:
-        try:
-            spec = _sweep_or_campaign(name)
-        except KeyError as exc:
-            print(exc.args[0], file=sys.stderr)
-            return 2
+    for spec in specs:
         report = SpecReport.from_cache(spec, Path(args.cache_dir))
         # An explicitly requested spec renders even when empty (the
         # dashboard shows 0/N cached); the default all-sweeps scan keeps
@@ -575,9 +554,7 @@ _DIFF_FAIL_CLASSES = ("changed", "added", "removed", "invalid", "any")
 def _cmd_report_diff(args: argparse.Namespace) -> int:
     for label, root in (("A", args.snapshot_a), ("B", args.snapshot_b)):
         if not Path(root).is_dir():
-            print(f"snapshot {label} is not a directory: {root}",
-                  file=sys.stderr)
-            return 2
+            raise UsageError(f"snapshot {label} is not a directory: {root}")
     diff = diff_snapshots(args.snapshot_a, args.snapshot_b, kind=args.kind)
     print(diff.to_json() if args.json else diff.describe())
     fail_on = set(args.fail_on or [])
@@ -596,18 +573,9 @@ def _cmd_report_diff(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
-    handlers = {
-        "sweep": _cmd_report_sweep,
-        "cache": _cmd_report_cache,
-        "dash": _cmd_report_dash,
-        "diff": _cmd_report_diff,
-    }
-    return handlers[args.report_command](args)
-
-
 def _cmd_storage(args: argparse.Namespace) -> int:
-    core_counts = [int(c) for c in (_split(args.cores) or ["16", "32", "64", "128"])]
+    with _resolving():
+        core_counts = _numbers(args.cores, int, "--cores") or [16, 32, 64, 128]
     model = StorageModel(SystemConfig())
     series = model.figure2_series(PAPER_TSOCC_CONFIGS, core_counts=core_counts)
     cores = [int(c) for c in series.pop("cores")]
@@ -620,19 +588,20 @@ def _cmd_storage(args: argparse.Namespace) -> int:
 
 
 def _cmd_litmus(args: argparse.Namespace) -> int:
+    with _resolving():
+        _check_names(protocols=[args.protocol])
+    if args.iterations < 1:
+        raise UsageError(f"--iterations must be >= 1, got {args.iterations}")
     tests = canonical_tests()
     if args.tests:
         wanted = set(_split(args.tests) or [])
         tests = [t for t in tests if t.name in wanted]
         if not tests:
-            print(f"no litmus tests match {args.tests!r}", file=sys.stderr)
-            return 2
-    if args.random:
-        if args.random < 0:
-            print("--random must be >= 0", file=sys.stderr)
-            return 2
-        tests += [generate_random_test(args.seed + index)
-                  for index in range(args.random)]
+            raise UsageError(f"no litmus tests match {args.tests!r}")
+    if args.random < 0:
+        raise UsageError("--random must be >= 0")
+    tests += [generate_random_test(args.seed + index)
+              for index in range(args.random)]
     passed, results = verify_litmus(tests, protocol=args.protocol,
                                     iterations=args.iterations)
     for result in results:
@@ -642,27 +611,6 @@ def _cmd_litmus(args: argparse.Namespace) -> int:
 
 
 # ------------------------------------------------------------------ fuzz
-
-def _fuzz_spec(args: argparse.Namespace):
-    """Resolve a named campaign with its overrides.
-
-    Raises:
-        KeyError: unknown campaign name, or ``--protocols`` naming an
-            unregistered configuration.
-        ValueError: malformed overrides (negative seed counts etc.).
-    """
-    spec = get_campaign(args.name).subset(
-        protocols=_split(getattr(args, "protocols", None)),
-        num_seeds=getattr(args, "seeds", None),
-        seed_start=getattr(args, "seed_start", None),
-    )
-    unknown = [p for p in spec.protocols if p not in set(list_protocol_names())]
-    if unknown:
-        raise KeyError(
-            f"campaign {spec.name!r} references unregistered protocols: "
-            f"{', '.join(unknown)}")
-    return spec
-
 
 def _cmd_fuzz_list(_args: argparse.Namespace) -> int:
     rows = [{
@@ -679,11 +627,7 @@ def _cmd_fuzz_list(_args: argparse.Namespace) -> int:
 
 
 def _cmd_fuzz_cells(args: argparse.Namespace) -> int:
-    try:
-        spec = _fuzz_spec(args)
-    except (KeyError, ValueError) as exc:
-        print(exc.args[0] if exc.args else exc, file=sys.stderr)
-        return 2
+    spec = _spec(args)
     rows = [{"cores": cores, "protocol": protocol, "workload": workload}
             for cores, _scale, protocol, workload in spec.cells()]
     print(format_table(rows, title=f"Campaign {spec.name}: "
@@ -692,23 +636,11 @@ def _cmd_fuzz_cells(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuzz_run(args: argparse.Namespace) -> int:
-    try:
-        spec = _fuzz_spec(args)
-        shard = resolve_shard(args.shard_index, args.shard_count)
-    except (KeyError, ValueError) as exc:
-        print(exc.args[0] if exc.args else exc, file=sys.stderr)
-        return 2
-    try:
-        result = spec.run(jobs=args.jobs, cache=_make_cache(args),
-                          shard=shard)
-    except (KeyError, ValueError) as exc:
-        print(exc.args[0] if exc.args else exc, file=sys.stderr)
-        return 2
+    spec = _spec(args)
+    result = spec.run(jobs=args.jobs, cache=_make_cache(args),
+                      shard=_shard(args))
     print(result.tabulate())
-    executed = len(result.cells)
-    print(f"({executed} of {spec.num_cells} cells executed: "
-          f"{result.simulations_run} simulated, "
-          f"{executed - result.simulations_run} from cache)")
+    _print_executed(spec, len(result.cells), result.simulations_run)
     failures = result.failures()
     if failures:
         print("\nFORBIDDEN OUTCOMES OBSERVED:", file=sys.stderr)
@@ -738,26 +670,22 @@ def _cmd_fuzz_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _replay_shape(args: argparse.Namespace, spec):
-    """Resolve the optional --threads/--ops/--vars/--fence overrides into a
-    shape tuple (default: the campaign's first shape point)."""
-    default = spec.shapes()[0]
-    values = [getattr(args, attr, None) for attr in
-              ("threads", "ops", "vars", "fence")]
-    if all(value is None for value in values):
-        return None
-    return tuple(value if value is not None else fallback
-                 for value, fallback in zip(values, default))
+def _cell(args: argparse.Namespace):
+    """Resolve ``replay``/``shrink`` input: the campaign and the cell's
+    shape point, from the optional --threads/--ops/--vars/--fence overrides
+    (default: the campaign's first shape point)."""
+    spec = _spec(args)
+    values = (args.threads, args.ops, args.vars, args.fence)
+    with _resolving():
+        _check_names(protocols=[args.protocol])
+        shape = tuple(value if value is not None else fallback
+                      for value, fallback in zip(values, spec.shapes()[0]))
+        return spec, cell_shape(spec, shape)
 
 
 def _cmd_fuzz_replay(args: argparse.Namespace) -> int:
-    try:
-        spec = _fuzz_spec(args)
-        test, result = replay_cell(spec, args.protocol, args.seed,
-                                   shape=_replay_shape(args, spec))
-    except (KeyError, ValueError) as exc:
-        print(exc.args[0] if exc.args else exc, file=sys.stderr)
-        return 2
+    spec, shape = _cell(args)
+    test, result = replay_cell(spec, args.protocol, args.seed, shape=shape)
     print(format_test(test))
     print()
     rows = [{"outcome": dict(outcome), "count": count,
@@ -769,13 +697,8 @@ def _cmd_fuzz_replay(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuzz_shrink(args: argparse.Namespace) -> int:
-    try:
-        spec = _fuzz_spec(args)
-        outcome = shrink_cell(spec, args.protocol, args.seed,
-                              shape=_replay_shape(args, spec))
-    except (KeyError, ValueError) as exc:
-        print(exc.args[0] if exc.args else exc, file=sys.stderr)
-        return 2
+    spec, shape = _cell(args)
+    outcome = shrink_cell(spec, args.protocol, args.seed, shape=shape)
     if outcome is None:
         print(f"cell (seed {args.seed}, {args.protocol}) passes on replay; "
               f"nothing to shrink")
@@ -790,29 +713,6 @@ def _cmd_fuzz_shrink(args: argparse.Namespace) -> int:
     for violation in sorted(shrunk_result.violations):
         print(f"  forbidden outcome still reproduced: {dict(violation)}")
     return 1
-
-
-def _cmd_fuzz_merge(args: argparse.Namespace) -> int:
-    try:
-        spec = _fuzz_spec(args)
-    except (KeyError, ValueError) as exc:
-        print(exc.args[0] if exc.args else exc, file=sys.stderr)
-        return 2
-    return _merge_into_cache(
-        args, spec, "campaign",
-        lambda cell: f"{cell.protocol} x {cell.workload}")
-
-
-def _cmd_fuzz(args: argparse.Namespace) -> int:
-    handlers = {
-        "list": _cmd_fuzz_list,
-        "cells": _cmd_fuzz_cells,
-        "run": _cmd_fuzz_run,
-        "replay": _cmd_fuzz_replay,
-        "shrink": _cmd_fuzz_shrink,
-        "merge": _cmd_fuzz_merge,
-    }
-    return handlers[args.fuzz_command](args)
 
 
 # ------------------------------------------------------------------ cache
@@ -881,6 +781,8 @@ def _cmd_cache_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache_ls(args: argparse.Namespace) -> int:
+    if args.limit is not None and args.limit < 0:
+        raise UsageError(f"--limit must be >= 0, got {args.limit}")
     entries = _cache_index(args).load()
     if args.kind:
         entries = {key: record for key, record in entries.items()
@@ -932,16 +834,12 @@ def _cmd_cache_rebuild(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache_gc(args: argparse.Namespace) -> int:
-    try:
+    with _resolving():
         max_bytes = parse_bytes(args.max_bytes) if args.max_bytes else None
         max_age = parse_age(args.max_age) if args.max_age else None
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
     if max_bytes is None and max_age is None and not args.dry_run:
-        print("cache gc needs --max-bytes and/or --max-age "
-              "(or --dry-run to preview orphan-tmp cleanup)", file=sys.stderr)
-        return 2
+        raise UsageError("cache gc needs --max-bytes and/or --max-age "
+                         "(or --dry-run to preview orphan-tmp cleanup)")
     report = collect_garbage(Path(args.cache_dir), max_bytes=max_bytes,
                              max_age=max_age, kinds=args.kind or None,
                              dry_run=args.dry_run)
@@ -951,21 +849,16 @@ def _cmd_cache_gc(args: argparse.Namespace) -> int:
     return 1 if report.errors else 0
 
 
-def _cmd_cache(args: argparse.Namespace) -> int:
-    handlers = {
-        "stats": _cmd_cache_stats,
-        "ls": _cmd_cache_ls,
-        "verify": _cmd_cache_verify,
-        "rebuild": _cmd_cache_rebuild,
-        "gc": _cmd_cache_gc,
-    }
-    return handlers[args.cache_command](args)
-
+# ------------------------------------------------------------------ trace
 
 def _trace_directory(args: argparse.Namespace) -> Path:
-    if getattr(args, "trace_dir", None):
+    if args.trace_dir:
         return Path(args.trace_dir)
     return default_trace_dir()
+
+
+def _trace_name(args: argparse.Namespace) -> str:
+    return args.trace if is_trace_name(args.trace) else f"trace:{args.trace}"
 
 
 def _stats_blob(result) -> str:
@@ -986,15 +879,13 @@ def _replay_result(workload, protocol: str, max_cycles: int,
 
 
 def _cmd_trace_capture(args: argparse.Namespace) -> int:
-    try:
+    with _resolving():
+        _check_names(protocols=[args.protocol])
         workload = make_workload(args.workload, num_cores=args.cores,
                                  scale=args.scale)
-        trace, result = capture_trace(
-            workload, args.protocol, max_cycles=args.max_cycles,
-            scale=args.scale, description=args.description)
-    except (KeyError, ValueError, FileNotFoundError) as exc:
-        print(exc.args[0] if exc.args else exc, file=sys.stderr)
-        return 2
+    trace, result = capture_trace(
+        workload, args.protocol, max_cycles=args.max_cycles,
+        scale=args.scale, description=args.description)
     if not result.finished:
         print(f"FAIL: {workload.name} did not finish within "
               f"{args.max_cycles} cycles; the trace would be truncated",
@@ -1030,20 +921,14 @@ def _cmd_trace_capture(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace_replay(args: argparse.Namespace) -> int:
-    name = args.trace if is_trace_name(args.trace) else f"trace:{args.trace}"
-    try:
-        workload = trace_workload(name, directory=_trace_directory(args))
-    except (ValueError, FileNotFoundError) as exc:
-        print(exc.args[0] if exc.args else exc, file=sys.stderr)
-        return 2
     protocols = args.protocol or ["MESI", "TSO-CC-4-12-3"]
+    with _resolving():
+        workload = trace_workload(_trace_name(args),
+                                  directory=_trace_directory(args))
+        _check_names(protocols=protocols)
     rows = []
     for protocol in protocols:
-        try:
-            result = _replay_result(workload, protocol, args.max_cycles)
-        except KeyError as exc:
-            print(exc.args[0] if exc.args else exc, file=sys.stderr)
-            return 2
+        result = _replay_result(workload, protocol, args.max_cycles)
         summary = result.stats.summary()
         rows.append({
             "protocol": protocol,
@@ -1085,16 +970,11 @@ def _cmd_trace_ls(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace_info(args: argparse.Namespace) -> int:
-    name = args.trace if is_trace_name(args.trace) else f"trace:{args.trace}"
+    name = _trace_name(args)
     directory = _trace_directory(args)
-    try:
+    with _resolving():
         canonical = canonical_trace_name(name, directory=directory)
         workload = trace_workload(name, directory=directory)
-    except (ValueError, FileNotFoundError) as exc:
-        print(exc.args[0] if exc.args else exc, file=sys.stderr)
-        return 2
-    from repro.workloads.tracefile import trace_path
-
     path = trace_path(name, directory)
     trace = Trace.load(path)
     print(f"trace:     {canonical}")
@@ -1117,31 +997,18 @@ def _cmd_trace_info(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
-    handlers = {
-        "capture": _cmd_trace_capture,
-        "replay": _cmd_trace_replay,
-        "ls": _cmd_trace_ls,
-        "info": _cmd_trace_info,
-    }
-    return handlers[args.trace_command](args)
-
-
 def _cmd_suites(args: argparse.Namespace) -> int:
     if args.name:
         name = args.name[len("suite:"):] if args.name.startswith("suite:") \
             else args.name
-        try:
+        with _resolving():
             registered = get_suite(name)
-        except KeyError as exc:
-            print(exc.args[0] if exc.args else exc, file=sys.stderr)
-            return 2
         rows = []
         for member in registered.workloads:
             try:
                 canonical = canonical_workload_name(member)
             except (KeyError, ValueError, FileNotFoundError) as exc:
-                canonical = f"UNRESOLVABLE: {exc.args[0] if exc.args else exc}"
+                canonical = f"UNRESOLVABLE: {_message(exc)}"
             rows.append({"workload": member, "canonical": canonical})
         print(format_table(
             rows,
@@ -1159,20 +1026,29 @@ def _cmd_suites(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """Build the argument parser (exposed for testing and documentation)."""
+    """Build the argument parser (exposed for testing and documentation).
+    Every leaf command sets ``func``, the handler :func:`main` calls."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="TSO-CC reproduction: run workloads, figures and litmus tests",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def leaf(group, name: str, func, **kwargs) -> argparse.ArgumentParser:
+        command = group.add_parser(name, **kwargs)
+        command.set_defaults(func=func)
+        return command
+
+    def add_cache_dir(command: argparse.ArgumentParser) -> None:
+        command.add_argument("--cache-dir", default=str(DEFAULT_CACHE_DIR),
+                             help="result cache directory (default: benchmarks/results/cache)")
+
     def add_executor_flags(command: argparse.ArgumentParser) -> None:
         command.add_argument("--jobs", type=int, default=None,
                              help="worker processes (default: REPRO_JOBS or CPU count)")
         command.add_argument("--no-cache", action="store_true",
                              help="ignore and do not update the on-disk result cache")
-        command.add_argument("--cache-dir", default=str(DEFAULT_CACHE_DIR),
-                             help="result cache directory (default: benchmarks/results/cache)")
+        add_cache_dir(command)
 
     def add_shard_flags(command: argparse.ArgumentParser) -> None:
         command.add_argument("--shard-index", type=int, default=None,
@@ -1181,22 +1057,31 @@ def build_parser() -> argparse.ArgumentParser:
         command.add_argument("--shard-count", type=int, default=None,
                              help="total number of disjoint shards")
 
-    def add_axis_overrides(command: argparse.ArgumentParser) -> None:
+    def add_axis_overrides(command: argparse.ArgumentParser,
+                           registry=SWEEPS) -> None:
+        command.set_defaults(registry=registry)
         command.add_argument("--protocols", help="override: comma-separated variant names")
         command.add_argument("--workloads", help="override: comma-separated workload subset")
         command.add_argument("--cores", help="override: comma-separated core counts")
         command.add_argument("--scales", help="override: comma-separated scale factors")
 
-    sub.add_parser("list", help="list protocol configurations and workloads")
+    def add_merge_flags(command: argparse.ArgumentParser) -> None:
+        command.add_argument("--from", dest="sources", action="append",
+                             required=True, metavar="DIR",
+                             help="shard result directory (repeatable)")
+        add_cache_dir(command)
 
-    protocols = sub.add_parser(
-        "protocols",
+    leaf(sub, "list", _cmd_list,
+         help="list protocol configurations and workloads")
+
+    protocols = leaf(
+        sub, "protocols", _cmd_protocols,
         help="list registered protocol plugins with metadata and storage bits")
     protocols.add_argument("--cores", type=int, default=32,
                            help="core count for the storage-overhead column")
 
-    run = sub.add_parser(
-        "run",
+    run = leaf(
+        sub, "run", _cmd_run,
         help="run one workload (benchmark, generator or trace) under one "
              "or more protocols")
     run.add_argument("workload", metavar="WORKLOAD",
@@ -1211,7 +1096,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_executor_flags(run)
     add_shard_flags(run)
 
-    figure = sub.add_parser("figure", help="regenerate one figure of the paper")
+    figure = leaf(sub, "figure", _cmd_figure,
+                  help="regenerate one figure of the paper")
     figure.add_argument("number", help="figure number (2-9)")
     figure.add_argument("--workloads", help="comma-separated workload subset")
     figure.add_argument("--protocols", help="comma-separated protocol subset")
@@ -1223,8 +1109,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="directory for --save (default: benchmarks/results)")
     add_executor_flags(figure)
 
-    sweep = sub.add_parser(
-        "sweep",
+    sweep = leaf(
+        sub, "sweep", _cmd_sweep,
         help="list, inspect and run declarative sensitivity sweeps")
     sweep.add_argument("name", nargs="?", default="timestamp-bits",
                        help="registered sweep name (default: timestamp-bits; "
@@ -1256,41 +1142,35 @@ def build_parser() -> argparse.ArgumentParser:
         help="plan, run and merge sharded executions of a registered sweep")
     shard_sub = shard.add_subparsers(dest="shard_command", required=True)
 
-    shard_plan = shard_sub.add_parser(
-        "plan",
-        help="partition a sweep's cells into N disjoint shard manifests")
-    shard_plan.add_argument("name", nargs="?", default="timestamp-bits",
-                            help="registered sweep name (default: "
-                                 "timestamp-bits; see 'repro sweep --list')")
+    def add_sweep_name(command: argparse.ArgumentParser) -> None:
+        command.add_argument("name", nargs="?", default="timestamp-bits",
+                             help="registered sweep name (default: "
+                                  "timestamp-bits; see 'repro sweep --list')")
+
+    shard_plan = leaf(
+        shard_sub, "plan", _cmd_shard_plan,
+        help="print the assignment of a sweep's cells to N disjoint shards")
+    add_sweep_name(shard_plan)
     shard_plan.add_argument("--shard-count", type=int, default=None,
                             help="number of disjoint shards (default: the "
                                  "count of REPRO_SHARD=<index>/<count>)")
-    shard_plan.add_argument("--out-dir", default=None,
-                            help="write shard-<i>-of-<n>.json manifests "
-                                 "here instead of printing the assignment")
     add_axis_overrides(shard_plan)
 
-    shard_run = shard_sub.add_parser(
-        "run", help="run one shard of a sweep (no coordinator needed)")
-    shard_run.add_argument("name", nargs="?", default="timestamp-bits",
-                           help="registered sweep name (default: "
-                                "timestamp-bits; see 'repro sweep --list')")
+    shard_run = leaf(
+        shard_sub, "run", _cmd_shard_run,
+        help="run one shard of a sweep (no coordinator needed)")
+    add_sweep_name(shard_run)
     add_shard_flags(shard_run)
     add_axis_overrides(shard_run)
     add_executor_flags(shard_run)
 
-    shard_merge = shard_sub.add_parser(
-        "merge",
+    shard_merge = leaf(
+        shard_sub, "merge", _cmd_merge,
         help="merge shard result directories into one result cache")
     shard_merge.add_argument("name", nargs="?", default=None,
                              help="sweep to verify completeness against "
                                   "after merging (exit 1 if cells missing)")
-    shard_merge.add_argument("--from", dest="sources", action="append",
-                             required=True, metavar="DIR",
-                             help="shard result directory (repeatable)")
-    shard_merge.add_argument("--cache-dir", default=str(DEFAULT_CACHE_DIR),
-                             help="destination result cache "
-                                  "(default: benchmarks/results/cache)")
+    add_merge_flags(shard_merge)
     add_axis_overrides(shard_merge)
 
     report = sub.add_parser(
@@ -1299,20 +1179,20 @@ def build_parser() -> argparse.ArgumentParser:
              "without simulating anything")
     report_sub = report.add_subparsers(dest="report_command", required=True)
 
-    def add_report_cache_dir(command: argparse.ArgumentParser) -> None:
-        command.add_argument("--cache-dir", default=str(DEFAULT_CACHE_DIR),
-                             help="result cache root "
-                                  "(default: benchmarks/results/cache)")
+    def add_format(command: argparse.ArgumentParser) -> None:
+        command.add_argument("--format", choices=["terminal", "csv", "json"],
+                             default="terminal",
+                             help="table output format (default: terminal)")
 
-    report_sweep = report_sub.add_parser(
-        "sweep",
+    report_sweep = leaf(
+        report_sub, "sweep", _cmd_report_sweep,
         help="aggregate a sweep's (or fuzz campaign's) cached cells into "
              "mix tables with speedup-vs-baseline columns and geomean rows")
     report_sweep.add_argument("name", nargs="?", default="ci-smoke",
                               help="registered sweep or campaign name "
                                    "(default: ci-smoke)")
-    add_axis_overrides(report_sweep)
-    add_report_cache_dir(report_sweep)
+    add_axis_overrides(report_sweep, registry=None)
+    add_cache_dir(report_sweep)
     report_sweep.add_argument("--baseline", default=None, metavar="PROTOCOL",
                               help="variant normalized columns divide "
                                    "against (default: the spec's declared "
@@ -1325,10 +1205,7 @@ def build_parser() -> argparse.ArgumentParser:
     report_sweep.add_argument("--figure", action="store_true",
                               help="append figure-style per-workload series "
                                    "tables")
-    report_sweep.add_argument("--format",
-                              choices=["terminal", "csv", "json"],
-                              default="terminal",
-                              help="table output format (default: terminal)")
+    add_format(report_sweep)
     report_sweep.add_argument("--html", default=None, metavar="PATH",
                               help="also write a self-contained HTML "
                                    "dashboard for this spec to PATH")
@@ -1336,11 +1213,11 @@ def build_parser() -> argparse.ArgumentParser:
                               help="write the table to PATH instead of "
                                    "stdout")
 
-    report_cache = report_sub.add_parser(
-        "cache",
+    report_cache = leaf(
+        report_sub, "cache", _cmd_report_cache,
         help="tabulate every cached cell matching a filter, one table per "
              "cell kind (declared report fields as columns)")
-    add_report_cache_dir(report_cache)
+    add_cache_dir(report_cache)
     report_cache.add_argument("--kind", default=None,
                               help="only cells of this cell kind")
     report_cache.add_argument("--protocol", default=None,
@@ -1348,16 +1225,13 @@ def build_parser() -> argparse.ArgumentParser:
                                    "configuration")
     report_cache.add_argument("--workload", default=None,
                               help="only cells of this workload")
-    report_cache.add_argument("--format",
-                              choices=["terminal", "csv", "json"],
-                              default="terminal",
-                              help="table output format (default: terminal)")
+    add_format(report_cache)
 
-    report_dash = report_sub.add_parser(
-        "dash",
+    report_dash = leaf(
+        report_sub, "dash", _cmd_report_dash,
         help="render a static self-contained HTML dashboard over the cache "
              "(one section per sweep)")
-    add_report_cache_dir(report_dash)
+    add_cache_dir(report_dash)
     report_dash.add_argument("--out", "-o", required=True, metavar="PATH",
                              help="output HTML file")
     report_dash.add_argument("--sweeps", default=None,
@@ -1367,8 +1241,8 @@ def build_parser() -> argparse.ArgumentParser:
     report_dash.add_argument("--title", default="repro report dashboard",
                              help="dashboard page title")
 
-    report_diff = report_sub.add_parser(
-        "diff",
+    report_diff = leaf(
+        report_sub, "diff", _cmd_report_diff,
         help="compare two cache snapshots cell-by-cell and classify "
              "added/removed/changed/invalid entries")
     report_diff.add_argument("snapshot_a", metavar="A",
@@ -1388,10 +1262,12 @@ def build_parser() -> argparse.ArgumentParser:
                              help="emit the full diff as JSON instead of "
                                   "the text summary")
 
-    storage = sub.add_parser("storage", help="print the Figure 2 storage model")
+    storage = leaf(sub, "storage", _cmd_storage,
+                   help="print the Figure 2 storage model")
     storage.add_argument("--cores", help="comma-separated core counts")
 
-    litmus = sub.add_parser("litmus", help="run litmus tests against x86-TSO")
+    litmus = leaf(sub, "litmus", _cmd_litmus,
+                  help="run litmus tests against x86-TSO")
     litmus.add_argument("--protocol", default="TSO-CC-4-12-3")
     litmus.add_argument("--iterations", type=int, default=10)
     litmus.add_argument("--tests", help="comma-separated litmus test names")
@@ -1407,6 +1283,7 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz_sub = fuzz.add_subparsers(dest="fuzz_command", required=True)
 
     def add_campaign_overrides(command: argparse.ArgumentParser) -> None:
+        command.set_defaults(registry=CAMPAIGNS)
         command.add_argument("name", nargs="?", default="fuzz-smoke",
                              help="registered campaign name (default: "
                                   "fuzz-smoke; see 'repro fuzz list')")
@@ -1417,14 +1294,15 @@ def build_parser() -> argparse.ArgumentParser:
         command.add_argument("--seed-start", type=int, default=None,
                              help="override: first seed of the range")
 
-    fuzz_sub.add_parser("list", help="list registered campaigns")
+    leaf(fuzz_sub, "list", _cmd_fuzz_list, help="list registered campaigns")
 
-    fuzz_cells = fuzz_sub.add_parser(
-        "cells", help="print a campaign's cell expansion without running")
+    fuzz_cells = leaf(
+        fuzz_sub, "cells", _cmd_fuzz_cells,
+        help="print a campaign's cell expansion without running")
     add_campaign_overrides(fuzz_cells)
 
-    fuzz_run = fuzz_sub.add_parser(
-        "run",
+    fuzz_run = leaf(
+        fuzz_sub, "run", _cmd_fuzz_run,
         help="run a campaign through the cached, shardable matrix "
              "(exit 1 on any forbidden outcome)")
     add_campaign_overrides(fuzz_run)
@@ -1432,6 +1310,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_shard_flags(fuzz_run)
 
     def add_cell_coordinates(command: argparse.ArgumentParser) -> None:
+        add_campaign_overrides(command)
         command.add_argument("--seed", type=int, required=True,
                              help="generator seed of the cell")
         command.add_argument("--protocol", default="TSO-CC-4-12-3",
@@ -1446,30 +1325,20 @@ def build_parser() -> argparse.ArgumentParser:
         command.add_argument("--fence", type=int, default=None,
                              help="generator fence probability (permille)")
 
-    fuzz_replay = fuzz_sub.add_parser(
-        "replay",
+    add_cell_coordinates(leaf(
+        fuzz_sub, "replay", _cmd_fuzz_replay,
         help="re-run one campaign cell outside the cache and print every "
-             "observed outcome")
-    add_campaign_overrides(fuzz_replay)
-    add_cell_coordinates(fuzz_replay)
-
-    fuzz_shrink = fuzz_sub.add_parser(
-        "shrink",
+             "observed outcome"))
+    add_cell_coordinates(leaf(
+        fuzz_sub, "shrink", _cmd_fuzz_shrink,
         help="minimize a violating cell's test by op/thread deletion "
-             "while the violation reproduces")
-    add_campaign_overrides(fuzz_shrink)
-    add_cell_coordinates(fuzz_shrink)
+             "while the violation reproduces"))
 
-    fuzz_merge = fuzz_sub.add_parser(
-        "merge",
+    fuzz_merge = leaf(
+        fuzz_sub, "merge", _cmd_merge,
         help="merge shard result directories and verify campaign coverage")
     add_campaign_overrides(fuzz_merge)
-    fuzz_merge.add_argument("--from", dest="sources", action="append",
-                            required=True, metavar="DIR",
-                            help="shard result directory (repeatable)")
-    fuzz_merge.add_argument("--cache-dir", default=str(DEFAULT_CACHE_DIR),
-                            help="destination result cache "
-                                 "(default: benchmarks/results/cache)")
+    add_merge_flags(fuzz_merge)
 
     cache = sub.add_parser(
         "cache",
@@ -1477,17 +1346,13 @@ def build_parser() -> argparse.ArgumentParser:
              "result cache")
     cache_sub = cache.add_subparsers(dest="cache_command", required=True)
 
-    def add_cache_dir(command: argparse.ArgumentParser) -> None:
-        command.add_argument("--cache-dir", default=str(DEFAULT_CACHE_DIR),
-                             help="result cache root "
-                                  "(default: benchmarks/results/cache)")
+    add_cache_dir(leaf(
+        cache_sub, "stats", _cmd_cache_stats,
+        help="per-kind entry/byte totals from the metadata index"))
 
-    cache_stats = cache_sub.add_parser(
-        "stats", help="per-kind entry/byte totals from the metadata index")
-    add_cache_dir(cache_stats)
-
-    cache_ls = cache_sub.add_parser(
-        "ls", help="list indexed entries with kind, size and last-hit age")
+    cache_ls = leaf(
+        cache_sub, "ls", _cmd_cache_ls,
+        help="list indexed entries with kind, size and last-hit age")
     add_cache_dir(cache_ls)
     cache_ls.add_argument("--kind", default=None,
                           help="only entries of this cell kind")
@@ -1497,18 +1362,16 @@ def build_parser() -> argparse.ArgumentParser:
     cache_ls.add_argument("--limit", type=int, default=None,
                           help="show at most N entries")
 
-    cache_verify = cache_sub.add_parser(
-        "verify",
+    add_cache_dir(leaf(
+        cache_sub, "verify", _cmd_cache_verify,
         help="reconcile the index against the entry tree "
-             "(exit 1 on any divergence)")
-    add_cache_dir(cache_verify)
+             "(exit 1 on any divergence)"))
+    add_cache_dir(leaf(
+        cache_sub, "rebuild", _cmd_cache_rebuild,
+        help="rebuild the index from a full tree scan"))
 
-    cache_rebuild = cache_sub.add_parser(
-        "rebuild", help="rebuild the index from a full tree scan")
-    add_cache_dir(cache_rebuild)
-
-    cache_gc = cache_sub.add_parser(
-        "gc",
+    cache_gc = leaf(
+        cache_sub, "gc", _cmd_cache_gc,
         help="evict entries LRU by last hit (--max-bytes/--max-age/--kind) "
              "and reap orphaned tmp files")
     add_cache_dir(cache_gc)
@@ -1535,8 +1398,8 @@ def build_parser() -> argparse.ArgumentParser:
                              help="trace directory (default: REPRO_TRACE_DIR "
                                   "or benchmarks/traces)")
 
-    trace_capture = trace_sub.add_parser(
-        "capture",
+    trace_capture = leaf(
+        trace_sub, "capture", _cmd_trace_capture,
         help="run a workload with the instruction-stream observer and save "
              "the trace (verified by replay unless --no-verify)")
     trace_capture.add_argument("workload", metavar="WORKLOAD",
@@ -1556,8 +1419,8 @@ def build_parser() -> argparse.ArgumentParser:
                                help="skip the replay verification pass")
     add_trace_dir(trace_capture)
 
-    trace_replay = trace_sub.add_parser(
-        "replay",
+    trace_replay = leaf(
+        trace_sub, "replay", _cmd_trace_replay,
         help="replay a saved trace directly (no cache) under one or more "
              "protocols")
     trace_replay.add_argument("trace", metavar="TRACE",
@@ -1568,17 +1431,18 @@ def build_parser() -> argparse.ArgumentParser:
     trace_replay.add_argument("--max-cycles", type=int, default=200_000_000)
     add_trace_dir(trace_replay)
 
-    trace_ls = trace_sub.add_parser("ls", help="list saved traces")
-    add_trace_dir(trace_ls)
+    add_trace_dir(leaf(trace_sub, "ls", _cmd_trace_ls,
+                       help="list saved traces"))
 
-    trace_info = trace_sub.add_parser(
-        "info", help="show one trace's header, op mix and canonical name")
+    trace_info = leaf(
+        trace_sub, "info", _cmd_trace_info,
+        help="show one trace's header, op mix and canonical name")
     trace_info.add_argument("trace", metavar="TRACE",
                             help="trace stem or trace:<stem>[@digest]")
     add_trace_dir(trace_info)
 
-    suites = sub.add_parser(
-        "suites",
+    suites = leaf(
+        sub, "suites", _cmd_suites,
         help="list registered workload suites, or show one suite's members")
     suites.add_argument("name", nargs="?", default=None,
                         help="suite name (with or without the suite: prefix)")
@@ -1587,32 +1451,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "list": _cmd_list,
-        "protocols": _cmd_protocols,
-        "run": _cmd_run,
-        "figure": _cmd_figure,
-        "sweep": _cmd_sweep,
-        "shard": _cmd_shard,
-        "report": _cmd_report,
-        "storage": _cmd_storage,
-        "litmus": _cmd_litmus,
-        "fuzz": _cmd_fuzz,
-        "cache": _cmd_cache,
-        "trace": _cmd_trace,
-        "suites": _cmd_suites,
-    }
-    if hasattr(args, "jobs"):
-        # Reject a non-positive --jobs / REPRO_JOBS before any work starts.
-        try:
-            resolve_jobs(args.jobs)
-        except ValueError as exc:
-            print(exc, file=sys.stderr)
-            return 2
-    return handlers[args.command](args)
+    """CLI entry point; returns the process exit code.
+
+    The one error policy: input that does not resolve (a :class:`UsageError`)
+    exits 2 with its one-line message, a workload that fails functional
+    validation prints ``FAIL: …`` and exits 1, and any other exception
+    propagates with its traceback.
+    """
+    args = build_parser().parse_args(argv)
+    try:
+        if "jobs" in args:
+            # Reject a non-positive --jobs / REPRO_JOBS before any work starts.
+            with _resolving():
+                resolve_jobs(args.jobs)
+        return args.func(args)
+    except UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 2
+    except WorkloadValidationError as exc:
+        print(f"FAIL: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -44,9 +44,9 @@ import re
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.parallel import (CellKind, MatrixExecutor, ReportField,
-                                     ResultCache, declare_report_fields,
-                                     register_cell_kind)
+from repro.analysis.parallel import (CellKind, ReportField, ResultCache,
+                                     declare_report_fields,
+                                     register_cell_kind, run_spec)
 from repro.consistency.litmus import (LitmusTest, LitmusThread,
                                       generate_random_test)
 from repro.consistency.runner import LitmusResult, run_litmus_on_simulator
@@ -287,8 +287,10 @@ class FuzzCampaign:
     max_cycles: int = 5_000_000
 
     #: Cell kind this spec's cells compute — consumed by the executor and
-    #: by :func:`~repro.analysis.shard.plan_sweep`.
+    #: by :func:`~repro.analysis.shard.plan_sweep` — and what messages call
+    #: a campaign.
     cell_kind = "fuzz"
+    noun = "campaign"
 
     def __post_init__(self) -> None:
         if not self.protocols:
@@ -343,25 +345,18 @@ class FuzzCampaign:
             for fence in self.fence_permille
         ]
 
-    def workloads(self) -> List[Tuple[int, str]]:
-        """Every generated-test axis point as ``(cores, workload name)`` —
-        the platform is sized to the test's thread count."""
-        return [
-            (max(2, threads),
-             fuzz_workload_name(seed, threads, ops, variables, fence,
-                                self.iterations, self.max_jitter))
-            for threads, ops, variables, fence in self.shapes()
-            for seed in self.seeds
-        ]
-
     def cells(self) -> List[Tuple[int, float, str, str]]:
         """The full expansion: ``(cores, scale, protocol, workload)`` per
         cell, in deterministic order — the
         :meth:`~repro.analysis.sweeps.SweepSpec.cells` surface, so the
-        shard planner partitions campaigns exactly like sweeps."""
+        shard planner partitions campaigns exactly like sweeps.  The
+        platform is sized to the test's thread count."""
         return [
-            (cores, 1.0, protocol, workload)
-            for cores, workload in self.workloads()
+            (max(2, threads), 1.0, protocol,
+             fuzz_workload_name(seed, threads, ops, variables, fence,
+                                self.iterations, self.max_jitter))
+            for threads, ops, variables, fence in self.shapes()
+            for seed in self.seeds
             for protocol in self.protocols
         ]
 
@@ -391,8 +386,8 @@ class FuzzCampaign:
     def run(self, jobs: Optional[int] = None,
             cache: Optional[ResultCache] = None,
             shard: Optional[Tuple[int, int]] = None) -> "CampaignResult":
-        """Expand and execute every cell through the cached, parallel
-        :class:`MatrixExecutor` (one executor per platform point).
+        """Expand and execute every cell through
+        :func:`~repro.analysis.parallel.run_spec`.
 
         A failing cell — the simulator showed an outcome the reference
         model forbids — is recorded in the returned
@@ -409,38 +404,8 @@ class FuzzCampaign:
         Raises:
             KeyError: if a protocol name is not registered.
         """
-        from repro.protocols.registry import list_protocol_names
-
-        known = set(list_protocol_names())
-        missing = [p for p in self.protocols if p not in known]
-        if missing:
-            raise KeyError(
-                f"campaign {self.name!r} references unregistered protocols: "
-                f"{', '.join(missing)}"
-            )
-        by_cores: Dict[int, List[str]] = {}
-        for cores, workload in self.workloads():
-            by_cores.setdefault(cores, []).append(workload)
-        cells: Dict[Tuple[str, str, int, float], FuzzCellResult] = {}
-        simulations = 0
-        for cores, workloads in sorted(by_cores.items()):
-            executor = MatrixExecutor(
-                SystemConfig().scaled(num_cores=cores),
-                scale=1.0,
-                max_cycles=self.max_cycles,
-                jobs=jobs,
-                cache=cache,
-                shard=shard,
-                kind="fuzz",
-            )
-            results = executor.run_cells(
-                [(protocol, workload)
-                 for workload in workloads
-                 for protocol in self.protocols]
-            )
-            simulations += executor.simulations_run
-            for (protocol, workload), cell in results.items():
-                cells[(protocol, workload, cores, 1.0)] = cell
+        cells, simulations = run_spec(self, jobs=jobs, cache=cache,
+                                      shard=shard)
         return CampaignResult(spec=self, cells=cells,
                               simulations_run=simulations)
 
@@ -532,6 +497,25 @@ list_campaigns = CAMPAIGNS.registered
 
 # ------------------------------------------------------------------ replay
 
+def cell_shape(spec: FuzzCampaign,
+               shape: Optional[Tuple[int, int, int, int]] = None,
+               ) -> Tuple[int, int, int, int]:
+    """Resolve a replay shape: ``shape`` itself when it is one of the
+    campaign's shape points, the first point when it is ``None``.
+
+    Raises:
+        ValueError: if ``shape`` is not one of the campaign's shape points.
+    """
+    shapes = spec.shapes()
+    if shape is None:
+        return shapes[0]
+    if tuple(shape) not in shapes:
+        raise ValueError(
+            f"shape {shape!r} is not a point of campaign {spec.name!r}; "
+            f"points: {shapes}")
+    return tuple(shape)
+
+
 def replay_cell(spec: FuzzCampaign, protocol: str, seed: int,
                 shape: Optional[Tuple[int, int, int, int]] = None,
                 ) -> Tuple[LitmusTest, LitmusResult]:
@@ -551,13 +535,7 @@ def replay_cell(spec: FuzzCampaign, protocol: str, seed: int,
     Raises:
         ValueError: if ``shape`` is not one of the campaign's shape points.
     """
-    shapes = spec.shapes()
-    if shape is None:
-        shape = shapes[0]
-    elif tuple(shape) not in shapes:
-        raise ValueError(
-            f"shape {shape!r} is not a point of campaign {spec.name!r}; "
-            f"points: {shapes}")
+    shape = cell_shape(spec, shape)
     threads, ops, variables, fence = shape
     params = {
         "seed": seed,

@@ -120,7 +120,13 @@ def run_litmus_on_simulator(
         max_jitter: maximum inter-instruction delay inserted, in cycles.
         include_memory: also check final memory values against the model.
         max_cycles: per-run watchdog bound.
+
+    Raises:
+        ValueError: if ``iterations < 1`` — a run of nothing would pass
+            vacuously.
     """
+    if iterations < 1:
+        raise ValueError(f"iterations must be >= 1, got {iterations}")
     allowed = enumerate_tso_outcomes(test, include_memory=include_memory)
     num_threads = len(test.threads)
     result = LitmusResult(test=test, protocol=str(protocol), allowed=allowed)

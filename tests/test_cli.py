@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import argparse
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -87,3 +89,47 @@ def test_run_command_rejects_unknown_workload(capsys):
     assert "unknown benchmark" in capsys.readouterr().err
     assert main(["run", "zipf:q9"]) == 2
     assert main(["run", "trace:no-such-trace"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "fft", "--protocol", "NOPE", "--cores", "2", "--scale", "0.2",
+     "--no-cache"],
+    ["figure", "3", "--protocols", "NOPE", "--cores", "2", "--scale", "0.2",
+     "--no-cache"],
+    ["storage", "--cores", "3x"],
+    ["litmus", "--iterations", "0"],
+    ["litmus", "--iterations", "-2"],
+    ["cache", "ls", "--limit", "-1"],
+], ids=" ".join)
+def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
+    if argv[0] == "cache":
+        argv = argv + ["--cache-dir", str(tmp_path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "Traceback" not in captured.err
+
+
+def _leaf_commands(parser, path=()):
+    """Every leaf command of ``parser`` as ``(argv prefix, subparser)``."""
+    groups = [action for action in parser._actions
+              if isinstance(action, argparse._SubParsersAction)]
+    if not groups:
+        yield path, parser
+    for group in groups:
+        for name, sub in group.choices.items():
+            yield from _leaf_commands(sub, path + (name,))
+
+
+#: Every leaf command by its argv prefix ("fuzz run").
+LEAVES = {" ".join(path): leaf for path, leaf in _leaf_commands(build_parser())}
+
+
+@pytest.mark.parametrize("command", list(LEAVES))
+def test_every_leaf_command_has_help_and_a_handler(command, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(command.split() + ["--help"])
+    assert excinfo.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: repro {command}")
+    assert callable(LEAVES[command].get_default("func"))

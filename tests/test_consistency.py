@@ -206,6 +206,13 @@ def test_canonical_forbidden_tests_pass_on_tsocc(protocol):
         assert result.passed, (name, result.violations)
 
 
+@pytest.mark.parametrize("iterations", [0, -1])
+def test_litmus_run_of_nothing_is_rejected(iterations):
+    # Zero runs observe nothing and would report a vacuous PASS.
+    with pytest.raises(ValueError, match="iterations must be >= 1"):
+        run_litmus_on_simulator(_test_by_name("MP"), iterations=iterations)
+
+
 def test_litmus_result_summary_format():
     result = run_litmus_on_simulator(_test_by_name("SB"), protocol="TSO-CC-4-12-3",
                                      iterations=3, seed=1)
