@@ -37,6 +37,7 @@ import hashlib
 import json
 import os
 import sys
+import time
 from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
@@ -360,44 +361,22 @@ class ResultCache:
     writer's freshly renamed (valid) entry is never deleted by a reader
     that read the pre-replacement bytes.
 
-    Alongside the tree, an advisory metadata index
-    (:class:`~repro.analysis.cache_index.CacheIndex`) is maintained
-    incrementally: ``put`` records kind/schema/size/created, ``get``
-    records last-hit timestamps (the LRU signal for ``repro cache gc``).
-    Index updates are buffered and flushed with the same per-pid
-    tmp+rename discipline as entries; the index is never consulted on the
-    lookup path — the tree stays truth.
+    The tree is the only cache state (:mod:`repro.analysis.cache_gc`): an
+    entry's mtime is its creation time, and every hit sets its atime, the
+    LRU signal for ``repro cache gc``.
 
     Args:
         root: cache directory (created lazily on first write).
         enabled: when ``False`` every lookup misses and nothing is written —
             the ``--no-cache`` behaviour without conditional call sites.
-        track: maintain the metadata index on put/get (default).  Disable
-            for throwaway caches that will never be listed, served or GC'd.
     """
 
-    def __init__(self, root: Path = DEFAULT_CACHE_DIR, enabled: bool = True,
-                 track: bool = True) -> None:
+    def __init__(self, root: Path = DEFAULT_CACHE_DIR,
+                 enabled: bool = True) -> None:
         self.root = Path(root)
         self.enabled = enabled
-        self.track = track
         self.hits = 0
         self.misses = 0
-        self._index = None
-
-    @property
-    def index(self):
-        """The advisory :class:`~repro.analysis.cache_index.CacheIndex`
-        over this root (created lazily)."""
-        if self._index is None:
-            from repro.analysis.cache_index import CacheIndex
-            self._index = CacheIndex(self.root)
-        return self._index
-
-    def flush_index(self) -> None:
-        """Flush buffered index deltas (no-op for untracked caches)."""
-        if self.track and self._index is not None:
-            self._index.flush()
 
     def key(self, config: SystemConfig, protocol: str, workload_name: str,
             scale: float, max_cycles: int,
@@ -426,8 +405,18 @@ class ResultCache:
                 # "corrupt", only this exact file may be removed.
                 read_stat = os.fstat(handle.fileno())
                 payload = json.load(handle)
-            if not isinstance(payload, dict) or payload.get("schema") != schema:
-                raise ValueError("stale payload schema")
+                if (not isinstance(payload, dict)
+                        or payload.get("schema") != schema):
+                    raise ValueError("stale payload schema")
+                try:
+                    # Record the hit: atime moves to now, mtime (the
+                    # entry's creation time) stays.  Through the descriptor,
+                    # so a file renamed into place since the read is never
+                    # touched.  Best effort: a read-only root still serves.
+                    os.utime(handle.fileno(),
+                             ns=(time.time_ns(), read_stat.st_mtime_ns))
+                except OSError:
+                    pass
         except FileNotFoundError:
             self.misses += 1
             return None
@@ -436,8 +425,6 @@ class ResultCache:
             self.misses += 1
             return None
         self.hits += 1
-        if self.track:
-            self.index.record_hit(key)
         return payload
 
     def _discard_corrupt(self, path: Path, read_stat) -> None:
@@ -482,9 +469,6 @@ class ResultCache:
             blob = json.dumps(payload, sort_keys=True)
             tmp.write_text(blob, encoding="utf-8")
             tmp.replace(path)
-            if self.track:
-                self.index.record_put(key, payload,
-                                      len(blob.encode("utf-8")))
         except OSError as exc:
             # Don't leave the per-pid tmp behind (e.g. when the final rename
             # failed) — stale tmps would accumulate in shared cache roots.
@@ -612,6 +596,14 @@ class MatrixExecutor:
                 validation — raised only after every other pending cell
                 ran and its result was cached.
         """
+        if self.shard is not None and self.cache is not None \
+                and self.cache.enabled:
+            # A shard leaves its result directory even when it owns no
+            # cells, so a merge finds every shard's directory.
+            try:
+                self.cache.root.mkdir(parents=True, exist_ok=True)
+            except OSError:
+                pass  # put() reports an unusable root when it writes
         results: Dict[Tuple[str, str], SystemStats] = {}
         pending: List[Tuple[str, str, Optional[str]]] = []
         for protocol, workload_name in dict.fromkeys(cells):
@@ -636,30 +628,24 @@ class MatrixExecutor:
 
         simulate = self.kind.simulate
         args = (self.scale, self.max_cycles)
-        try:
-            if self.jobs == 1 or len(pending) == 1:
-                for cell in pending:
-                    settle(cell, partial(simulate, self.system_config,
-                                         cell[0], cell[1], *args))
-            elif pending:
-                # Imported here so the inline path never loads multiprocessing.
-                from concurrent.futures import ProcessPoolExecutor, as_completed
+        if self.jobs == 1 or len(pending) == 1:
+            for cell in pending:
+                settle(cell, partial(simulate, self.system_config,
+                                     cell[0], cell[1], *args))
+        elif pending:
+            # Imported here so the inline path never loads multiprocessing.
+            from concurrent.futures import ProcessPoolExecutor, as_completed
 
-                workers = min(self.jobs, len(pending))
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    futures = {
-                        pool.submit(simulate, self.system_config, protocol,
-                                    workload_name, *args):
-                        (protocol, workload_name, key)
-                        for protocol, workload_name, key in pending
-                    }
-                    for future in as_completed(futures):
-                        settle(futures[future], future.result)
-        finally:
-            # Index records buffered by put/get must survive a failing cell
-            # (the valid siblings were cached; their metadata should be too).
-            if self.cache is not None:
-                self.cache.flush_index()
+            workers = min(self.jobs, len(pending))
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                futures = {
+                    pool.submit(simulate, self.system_config, protocol,
+                                workload_name, *args):
+                    (protocol, workload_name, key)
+                    for protocol, workload_name, key in pending
+                }
+                for future in as_completed(futures):
+                    settle(futures[future], future.result)
         if failure is not None:
             raise failure
         return results

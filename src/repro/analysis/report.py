@@ -42,10 +42,9 @@ from pathlib import Path
 from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
                     Sequence, Tuple, Union)
 
-from repro.analysis.cache_index import indexed_kinds, iter_entry_files
+from repro.analysis.cache_gc import iter_entry_files, read_entry
 from repro.analysis.parallel import (CellKind, ReportField, ResultCache,
-                                     get_cell_kind, payload_is_current,
-                                     report_fields)
+                                     get_cell_kind, report_fields)
 
 #: Rendering of a missing value (baseline in another shard, cell not yet
 #: simulated, undefined geomean) in terminal/CSV output.
@@ -196,21 +195,6 @@ def render_table(table: ReportTable, fmt: str = "terminal") -> str:
 
 
 # -------------------------------------------------------- reading the cache
-
-def read_entry(path: Path) -> Optional[Dict[str, object]]:
-    """Read one cache entry file **without mutating anything** — unlike
-    ``ResultCache.get`` this never unlinks a torn entry or records an index
-    hit, so reports and diffs are safe over foreign snapshots.  Returns
-    ``None`` for unreadable JSON or a payload that is stale/alien for its
-    own declared kind."""
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (ValueError, OSError):
-        return None
-    if not payload_is_current(payload):
-        return None
-    return payload
-
 
 def _cache_root(cache: Union[str, Path, ResultCache]) -> Path:
     return cache.root if isinstance(cache, ResultCache) else Path(cache)
@@ -527,19 +511,10 @@ def gather_cells(cache: Union[str, Path, ResultCache],
     A pure tree scan — torn or alien entries are skipped, nothing is
     mutated.  ``kind``/``protocol``/``workload`` narrow the match;
     identity columns come from the payload itself (every bundled kind
-    writes ``protocol``/``workload`` into its payload).  When a ``kind``
-    filter is given, the advisory metadata index (when present and in
-    sync) lets the scan skip parsing entries it already classifies as
-    another kind; unindexed entries are still parsed and filtered by
-    payload, so a stale or absent index only costs speed, never rows.
+    writes ``protocol``/``workload`` into its payload).
     """
-    root = _cache_root(cache)
-    known_kinds = indexed_kinds(root) if kind is not None else {}
     grouped: Dict[str, List[Tuple[str, Dict[str, object]]]] = {}
-    for path in iter_entry_files(root):
-        indexed = known_kinds.get(path.stem)
-        if kind is not None and indexed is not None and indexed != kind:
-            continue
+    for path in iter_entry_files(_cache_root(cache)):
         payload = read_entry(path)
         if payload is None:
             continue

@@ -28,11 +28,12 @@ See the "Sharding a sweep across machines/CI" guide in EXPERIMENTS.md.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, List, Optional, Tuple, Union
+
+from repro.analysis.cache_gc import iter_entry_files, read_entry
 
 
 def shard_of_key(key: str, shard_count: int) -> int:
@@ -149,20 +150,6 @@ class MergeReport:
         return self.merged + self.already_present + self.invalid
 
 
-def _valid_entry(path: Path) -> bool:
-    """Whether a cache entry file exists and holds a current-schema payload
-    for its own cell kind.  A corrupt or stale entry must not satisfy a
-    merge or completeness check — ``ResultCache.get`` would treat it as a
-    miss."""
-    from repro.analysis.parallel import payload_is_current
-
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        return payload_is_current(payload)
-    except (ValueError, OSError):
-        return False
-
-
 def merge_results(sources: Iterable[Union[str, Path]], dest) -> MergeReport:
     """Merge shard result directories into a destination cache.
 
@@ -188,8 +175,6 @@ def merge_results(sources: Iterable[Union[str, Path]], dest) -> MergeReport:
         OSError: if the destination becomes unwritable mid-merge
             (``ResultCache.put`` disables itself on write errors).
     """
-    from repro.analysis.parallel import payload_is_current
-
     if not dest.enabled:
         raise ValueError(
             f"destination cache at {dest.root} is disabled; merging into "
@@ -199,16 +184,13 @@ def merge_results(sources: Iterable[Union[str, Path]], dest) -> MergeReport:
     # several source directories is parsed against the destination once.
     settled = set()
     for source in sources:
-        for path in sorted(Path(source).glob("*/*.json")):
+        for path in iter_entry_files(source):
             key = path.stem
-            try:
-                payload = json.loads(path.read_text(encoding="utf-8"))
-                if not payload_is_current(payload):
-                    raise ValueError("stale payload schema")
-            except (ValueError, OSError):
+            payload = read_entry(path)
+            if payload is None:
                 report.invalid += 1
                 continue
-            if key in settled or _valid_entry(dest.path(key)):
+            if key in settled or read_entry(dest.path(key)) is not None:
                 settled.add(key)
                 report.already_present += 1
                 continue
@@ -223,10 +205,6 @@ def merge_results(sources: Iterable[Union[str, Path]], dest) -> MergeReport:
                     f"after merging {report.merged} entries")
             settled.add(key)
             report.merged += 1
-    # Merged entries went through dest.put, so the destination's advisory
-    # metadata index already has their records buffered; persist them so
-    # `repro cache stats`/`gc` see the merge without a rebuild.
-    dest.flush_index()
     return report
 
 
@@ -237,4 +215,4 @@ def missing_cells(spec, cache) -> List[PlannedCell]:
     would treat them."""
     plan = plan_sweep(spec, shard_count=1)
     return [cell for cell in plan.cells
-            if not _valid_entry(cache.path(cell.key))]
+            if read_entry(cache.path(cell.key)) is None]

@@ -28,9 +28,8 @@ Exposes the most common operations without writing Python::
     python -m repro report sweep ci-smoke            # normalized tables, no sims
     python -m repro report dash -o dashboard.html    # static HTML dashboard
     python -m repro report diff cacheA cacheB --fail-on changed
-    python -m repro cache stats                      # indexed result-cache totals
+    python -m repro cache stats                      # result-cache totals per kind
     python -m repro cache ls --kind fuzz --limit 20
-    python -m repro cache verify                     # index vs tree (exit 1 on drift)
     python -m repro cache gc --max-bytes 256M --max-age 7d
 
 Every sub-command prints a plain-text table (the same renderers the
@@ -57,11 +56,12 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import List, Optional
 
-from repro.analysis.cache_index import CacheIndex, collect_garbage
+from repro.analysis.cache_gc import collect_garbage, scan_entries
 from repro.analysis.experiments import ExperimentRunner
 from repro.analysis.parallel import (DEFAULT_CACHE_DIR, ResultCache,
                                      WorkloadValidationError,
-                                     _default_results_root, resolve_jobs)
+                                     _default_results_root, get_cell_kind,
+                                     resolve_jobs)
 from repro.analysis.report import (SpecReport, diff_snapshots, gather_cells,
                                    render_dashboard, render_table)
 from repro.analysis.shard import (merge_results, missing_cells, plan_sweep,
@@ -195,6 +195,22 @@ def _spec(args: argparse.Namespace):
                                seed_start=args.seed_start)
         _check_names(protocols=spec.protocols)
     return spec
+
+
+def _kind(name: Optional[str]) -> Optional[str]:
+    """A ``--kind`` value checked against the cell-kind registry (``None``
+    when the flag is absent)."""
+    if name is None:
+        return None
+    with _resolving():
+        return get_cell_kind(name).name
+
+
+def _existing_dir(path: str, what: str) -> Path:
+    """``path`` as a directory that must already exist."""
+    if not Path(path).is_dir():
+        raise UsageError(f"{what} is not a directory: {path}")
+    return Path(path)
 
 
 def _shard(args: argparse.Namespace):
@@ -444,6 +460,8 @@ def _cmd_merge(args: argparse.Namespace) -> int:
     # Resolve the spec before touching the destination cache so a bad name
     # or malformed override fails before any merging happens.
     spec = _spec(args) if args.name else None
+    for source in args.sources:
+        _existing_dir(source, "--from")
     dest = ResultCache(Path(args.cache_dir))
     try:
         report = merge_results(args.sources, dest)
@@ -511,8 +529,9 @@ def _cmd_report_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_report_cache(args: argparse.Namespace) -> int:
-    tables = gather_cells(Path(args.cache_dir), kind=args.kind,
-                          protocol=args.protocol, workload=args.workload)
+    tables = gather_cells(_existing_dir(args.cache_dir, "--cache-dir"),
+                          kind=_kind(args.kind), protocol=args.protocol,
+                          workload=args.workload)
     if not tables:
         print(f"no cached cells match under {args.cache_dir}")
         return 0
@@ -552,10 +571,10 @@ _DIFF_FAIL_CLASSES = ("changed", "added", "removed", "invalid", "any")
 
 
 def _cmd_report_diff(args: argparse.Namespace) -> int:
-    for label, root in (("A", args.snapshot_a), ("B", args.snapshot_b)):
-        if not Path(root).is_dir():
-            raise UsageError(f"snapshot {label} is not a directory: {root}")
-    diff = diff_snapshots(args.snapshot_a, args.snapshot_b, kind=args.kind)
+    _existing_dir(args.snapshot_a, "snapshot A")
+    _existing_dir(args.snapshot_b, "snapshot B")
+    diff = diff_snapshots(args.snapshot_a, args.snapshot_b,
+                          kind=_kind(args.kind))
     print(diff.to_json() if args.json else diff.describe())
     fail_on = set(args.fail_on or [])
     if "any" in fail_on:
@@ -751,98 +770,63 @@ def parse_age(value: str) -> float:
     return _parse_scaled(value, _AGE_SUFFIXES, "age")
 
 
-def _cache_index(args: argparse.Namespace) -> CacheIndex:
-    return CacheIndex(Path(args.cache_dir))
-
-
 def _cmd_cache_stats(args: argparse.Namespace) -> int:
-    totals = _cache_index(args).stats()
+    by_kind = {}
+    for entry in scan_entries(_existing_dir(args.cache_dir, "--cache-dir")):
+        by_kind.setdefault(entry.kind, []).append(entry)
     now = time.time()
     rows = [{
         "kind": kind,
-        "entries": bucket["entries"],
-        "bytes": bucket["bytes"],
-        "oldest_hit_age_s": int(now - bucket["oldest_hit"])
-        if bucket["oldest_hit"] else "-",
-        "newest_hit_age_s": int(now - bucket["newest_hit"])
-        if bucket["newest_hit"] else "-",
-    } for kind, bucket in sorted(totals.items())]
+        "entries": len(entries),
+        "bytes": sum(entry.size for entry in entries),
+        "oldest_hit_age_s": int(now - min(e.last_hit for e in entries)),
+        "newest_hit_age_s": int(now - max(e.last_hit for e in entries)),
+    } for kind, entries in sorted(by_kind.items())]
     rows.append({
         "kind": "TOTAL",
-        "entries": sum(b["entries"] for b in totals.values()),
-        "bytes": sum(b["bytes"] for b in totals.values()),
+        "entries": sum(row["entries"] for row in rows),
+        "bytes": sum(row["bytes"] for row in rows),
         "oldest_hit_age_s": "", "newest_hit_age_s": "",
     })
-    print(format_table(rows, title=f"Result-cache index at {args.cache_dir}"))
-    if not totals:
-        print("(empty index; if the tree has entries, run "
-              "'repro cache rebuild')")
+    print(format_table(rows, title=f"Result cache at {args.cache_dir}"))
     return 0
 
 
 def _cmd_cache_ls(args: argparse.Namespace) -> int:
     if args.limit is not None and args.limit < 0:
         raise UsageError(f"--limit must be >= 0, got {args.limit}")
-    entries = _cache_index(args).load()
-    if args.kind:
-        entries = {key: record for key, record in entries.items()
-                   if record.get("kind") == args.kind}
-    sort_field = {"last-hit": "last_hit", "created": "created",
-                  "size": "size"}[args.sort]
-    ordered = sorted(entries.items(),
-                     key=lambda item: item[1].get(sort_field, 0.0),
-                     reverse=True)
-    if args.limit is not None:
-        ordered = ordered[:args.limit]
+    root = _existing_dir(args.cache_dir, "--cache-dir")
+    kind = _kind(args.kind)
+    entries = [entry for entry in scan_entries(root)
+               if kind is None or entry.kind == kind]
+    sort_field = args.sort.replace("-", "_")  # a CacheEntry attribute
+    ordered = sorted(entries, key=lambda entry: getattr(entry, sort_field),
+                     reverse=True)[:args.limit]
     now = time.time()
     rows = [{
-        "key": key[:12],
-        "kind": record.get("kind", "?"),
-        "size": record.get("size", "?"),
-        "hit_age_s": int(now - float(record.get("last_hit", now))),
-        "workload": record.get("summary", {}).get("workload", ""),
-        "protocol": record.get("summary", {}).get("protocol", ""),
-    } for key, record in ordered]
-    print(format_table(rows, title=f"{len(entries)} indexed entr"
+        "key": entry.key[:12],
+        "kind": entry.kind,
+        "size": entry.size,
+        "hit_age_s": int(now - entry.last_hit),
+        "workload": entry.workload,
+        "protocol": entry.protocol,
+    } for entry in ordered]
+    print(format_table(rows, title=f"{len(entries)} entr"
                                    f"{'y' if len(entries) == 1 else 'ies'}"))
     return 0
 
 
-def _cmd_cache_verify(args: argparse.Namespace) -> int:
-    report = _cache_index(args).verify()
-    print(report.describe())
-    if report.in_sync:
-        print("OK: index and tree agree")
-        return 0
-    for label, keys in (("missing from index", report.missing_from_index),
-                        ("missing from tree", report.missing_from_tree),
-                        ("metadata mismatch", report.mismatched),
-                        ("invalid payload", report.invalid)):
-        for key in keys[:10]:
-            print(f"  {label}: {key}", file=sys.stderr)
-        if len(keys) > 10:
-            print(f"  ... and {len(keys) - 10} more {label}", file=sys.stderr)
-    print("run 'repro cache rebuild' to resynchronize the index "
-          "(and 'repro cache gc' to reap invalid entries)", file=sys.stderr)
-    return 1
-
-
-def _cmd_cache_rebuild(args: argparse.Namespace) -> int:
-    entries = _cache_index(args).rebuild()
-    print(f"rebuilt index at {args.cache_dir}: {len(entries)} entries")
-    return 0
-
-
 def _cmd_cache_gc(args: argparse.Namespace) -> int:
+    root = _existing_dir(args.cache_dir, "--cache-dir")
+    kinds = [_kind(name) for name in args.kind or []]
     with _resolving():
         max_bytes = parse_bytes(args.max_bytes) if args.max_bytes else None
         max_age = parse_age(args.max_age) if args.max_age else None
     if max_bytes is None and max_age is None and not args.dry_run:
         raise UsageError("cache gc needs --max-bytes and/or --max-age "
                          "(or --dry-run to preview orphan-tmp cleanup)")
-    report = collect_garbage(Path(args.cache_dir), max_bytes=max_bytes,
-                             max_age=max_age, kinds=args.kind or None,
-                             dry_run=args.dry_run)
+    report = collect_garbage(root, max_bytes=max_bytes, max_age=max_age,
+                             kinds=kinds or None, dry_run=args.dry_run)
     print(report.describe())
     for error in report.errors:
         print(f"  error: {error}", file=sys.stderr)
@@ -1342,17 +1326,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     cache = sub.add_parser(
         "cache",
-        help="inspect, verify, rebuild and garbage-collect the indexed "
-             "result cache")
+        help="inspect and garbage-collect the result cache")
     cache_sub = cache.add_subparsers(dest="cache_command", required=True)
 
     add_cache_dir(leaf(
         cache_sub, "stats", _cmd_cache_stats,
-        help="per-kind entry/byte totals from the metadata index"))
+        help="per-kind entry/byte totals from a scan of the entry tree"))
 
     cache_ls = leaf(
         cache_sub, "ls", _cmd_cache_ls,
-        help="list indexed entries with kind, size and last-hit age")
+        help="list entries with kind, size and last-hit age")
     add_cache_dir(cache_ls)
     cache_ls.add_argument("--kind", default=None,
                           help="only entries of this cell kind")
@@ -1361,14 +1344,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="sort order, descending (default: last-hit)")
     cache_ls.add_argument("--limit", type=int, default=None,
                           help="show at most N entries")
-
-    add_cache_dir(leaf(
-        cache_sub, "verify", _cmd_cache_verify,
-        help="reconcile the index against the entry tree "
-             "(exit 1 on any divergence)"))
-    add_cache_dir(leaf(
-        cache_sub, "rebuild", _cmd_cache_rebuild,
-        help="rebuild the index from a full tree scan"))
 
     cache_gc = leaf(
         cache_sub, "gc", _cmd_cache_gc,

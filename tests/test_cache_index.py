@@ -1,22 +1,24 @@
-"""Unit tests for the advisory cache index, GC policies and the
-``repro cache`` CLI.
+"""Unit tests for the cache tree scan, the hit signal, GC policies and
+the ``repro cache`` CLI.
 
-The index is advisory and the tree is truth: these tests pin the
-incremental bookkeeping (put/hit buffering, flush merge semantics),
-rebuild-as-fixpoint, verify reconciliation, the LRU/age/kind eviction
-policies, and the CLI exit-code contract.
+The tree is the only cache state: these tests pin what a scan reads from
+entry files (kind, size, created = mtime, last hit = max(atime, mtime)),
+the atime touch of a hit, the LRU/age/kind eviction policies, and the CLI
+exit-code contract.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import time
 
 import pytest
 
-from repro.analysis import cache_index
-from repro.analysis.cache_index import (CacheIndex, collect_garbage,
-                                        iter_entry_files, summarize_payload)
+import repro.analysis.parallel as parallel
+from repro.analysis.cache_gc import (collect_garbage, iter_entry_files,
+                                     read_entry, scan_entries)
 from repro.analysis.parallel import ResultCache
 from repro.cli import main, parse_age, parse_bytes
 from repro.sim.stats import STATS_SCHEMA_VERSION
@@ -47,197 +49,73 @@ def _write_entry(root, key, payload) -> int:
     return len(blob.encode("utf-8"))
 
 
-# ------------------------------------------------------------------ records
+def _seed_times(root, key, created: float, hit: float) -> None:
+    """Set an entry's creation (mtime) and last-hit (atime) times."""
+    os.utime(root / key[:2] / f"{key}.json", (hit, created))
 
 
-def test_summarize_payload_keeps_scalar_summary_fields_only():
-    summary = summarize_payload({
-        "workload": "fft", "protocol": "MESI", "passed": True,
-        "cycles": 123, "per_core": [1, 2], "nested": {"a": 1},
-    })
-    assert summary == {"workload": "fft", "protocol": "MESI",
-                       "passed": True, "cycles": 123}
-
-
-def test_record_put_flush_load_roundtrip(tmp_path):
-    index = CacheIndex(tmp_path)
-    key = _key(0)
-    size = _write_entry(tmp_path, key, _payload(0))
-    index.record_put(key, _payload(0), size, now=100.0)
-    assert index.buffered == 1
-    assert index.flush()
-    assert index.buffered == 0
-
-    records = index.load()
-    assert set(records) == {key}
-    record = records[key]
-    assert record["kind"] == "stats"
-    assert record["payload_schema"] == STATS_SCHEMA_VERSION
-    assert record["size"] == size
-    assert record["created"] == 100.0
-    assert record["last_hit"] == 100.0
-    assert record["summary"]["workload"] == "wl-0"
-
-
-def test_record_hit_advances_last_hit_monotonically(tmp_path):
-    index = CacheIndex(tmp_path)
-    key = _key(0)
-    index.record_put(key, _payload(0), 10, now=100.0)
-    index.flush()
-    index.record_hit(key, now=250.0)
-    index.record_hit(key, now=200.0)  # out-of-order hit must not regress
-    index.flush()
-    assert index.load()[key]["last_hit"] == 250.0
-    assert index.load()[key]["created"] == 100.0
-
-
-def test_hit_on_unknown_key_is_dropped_not_invented(tmp_path):
-    # A hit for a key the index has never seen carries no size/kind
-    # metadata; inventing a record would corrupt stats totals.
-    index = CacheIndex(tmp_path)
-    index.record_hit(_key(7), now=50.0)
-    assert index.flush()
-    assert index.load() == {}
-
-
-def test_auto_flush_at_threshold(tmp_path, monkeypatch):
-    monkeypatch.setattr(cache_index, "AUTO_FLUSH_THRESHOLD", 3)
-    index = CacheIndex(tmp_path)
-    for i in range(3):
-        index.record_put(_key(i), _payload(i), 10, now=float(i))
-    assert index.buffered == 0  # third record tripped the flush
-    assert len(index.load()) == 3
-
-
-def test_flush_rebuffers_deltas_when_root_unwritable(tmp_path, monkeypatch):
-    index = CacheIndex(tmp_path)
-    index.record_put(_key(0), _payload(0), 10, now=1.0)
-    monkeypatch.setattr(CacheIndex, "_write", lambda self, entries: False)
-    assert not index.flush()
-    assert index.buffered == 1  # nothing lost
-    monkeypatch.undo()
-    assert index.flush()
-    assert _key(0) in index.load()
-
-
-# ------------------------------------------------------------------ rebuild
-
-
-def test_rebuild_from_tree_scan(tmp_path):
-    sizes = {}
-    for i in range(4):
-        sizes[_key(i)] = _write_entry(tmp_path, _key(i), _payload(i, filler=i))
-    # Non-entries that the scan must ignore:
-    (tmp_path / "aa").mkdir(exist_ok=True)
-    (tmp_path / "aa" / "writer.1234.tmp").write_text("{", encoding="utf-8")
-
-    index = CacheIndex(tmp_path)
-    entries = index.rebuild()
-    assert set(entries) == set(sizes)
-    for key, record in entries.items():
-        assert record["size"] == sizes[key]
-    assert index.load() == entries
-
-
-def test_rebuild_is_a_fixpoint_for_an_in_sync_index(tmp_path):
-    index = CacheIndex(tmp_path)
-    for i in range(3):
-        size = _write_entry(tmp_path, _key(i), _payload(i))
-        index.record_put(_key(i), _payload(i), size, now=100.0 + i)
-    index.record_hit(_key(0), now=500.0)
-    index.flush()
-    before = index.load()
-    assert index.rebuild() == before  # timestamps preserved exactly
-
-
-def test_rebuild_skips_unparseable_entries_and_clears_pending(tmp_path):
-    size = _write_entry(tmp_path, _key(0), _payload(0))
-    bad = tmp_path / "bb" / f"{_key(1)}.json"
-    bad.parent.mkdir(parents=True, exist_ok=True)
-    bad.write_text('{"schema": 1, "torn', encoding="utf-8")
-
-    index = CacheIndex(tmp_path)
-    index.record_put(_key(2), _payload(2), 99, now=1.0)  # no file behind it
-    entries = index.rebuild()
-    assert set(entries) == {_key(0)}
-    assert entries[_key(0)]["size"] == size
-    assert index.buffered == 0
+# --------------------------------------------------------------------- scan
 
 
 def test_index_file_is_invisible_to_entry_scans(tmp_path):
-    index = CacheIndex(tmp_path)
+    # A root-level file, such as a metadata index left behind by an older
+    # version, is never an entry.
     _write_entry(tmp_path, _key(0), _payload(0))
-    index.rebuild()
-    assert index.path.exists()
+    (tmp_path / "index.json").write_text('{"schema": 1, "entries": {}}',
+                                         encoding="utf-8")
     assert [p.stem for p in iter_entry_files(tmp_path)] == [_key(0)]
-
-
-# ------------------------------------------------------------------- verify
-
-
-def test_verify_in_sync_after_incremental_updates(tmp_path):
-    index = CacheIndex(tmp_path)
-    for i in range(3):
-        size = _write_entry(tmp_path, _key(i), _payload(i))
-        index.record_put(_key(i), _payload(i), size, now=float(i))
-    report = index.verify()  # flushes the buffered records itself
-    assert report.in_sync
-    assert report.entries == report.indexed == 3
-    assert "3 entries in tree, 3 indexed" in report.describe()
-
-
-def test_verify_reports_divergence_both_ways(tmp_path):
-    index = CacheIndex(tmp_path)
-    size = _write_entry(tmp_path, _key(0), _payload(0))
-    index.record_put(_key(0), _payload(0), size, now=1.0)
-    index.record_put(_key(1), _payload(1), 10, now=1.0)  # no file (gone)
-    index.flush()
-    _write_entry(tmp_path, _key(2), _payload(2))  # file the index missed
-
-    report = index.verify()
-    assert not report.in_sync
-    assert report.missing_from_tree == [_key(1)]
-    assert report.missing_from_index == [_key(2)]
-
-    index.rebuild()
-    assert index.verify().in_sync
-
-
-def test_verify_flags_mismatched_metadata_and_invalid_payloads(tmp_path):
-    index = CacheIndex(tmp_path)
-    size = _write_entry(tmp_path, _key(0), _payload(0))
-    index.record_put(_key(0), _payload(0), size + 5, now=1.0)  # wrong size
-    index.flush()
-    bad = tmp_path / "cc" / f"{_key(1)}.json"
-    bad.parent.mkdir(parents=True, exist_ok=True)
-    bad.write_text("not json at all", encoding="utf-8")
-
-    report = index.verify()
-    assert report.mismatched == [_key(0)]
-    assert report.invalid == [_key(1)]
-    assert not report.in_sync
+    assert [entry.key for entry in scan_entries(tmp_path)] == [_key(0)]
 
 
 def test_stats_totals_match_tree_walk(tmp_path):
-    index = CacheIndex(tmp_path)
     expect_bytes = {"stats": 0, "cachetest": 0}
     expect_counts = {"stats": 0, "cachetest": 0}
     for i in range(5):
         kind = "stats" if i % 2 == 0 else "cachetest"
         size = _write_entry(tmp_path, _key(i), _payload(i, kind=kind, filler=i))
-        index.record_put(_key(i), _payload(i, kind=kind, filler=i), size,
-                         now=float(i))
+        _seed_times(tmp_path, _key(i), created=float(i), hit=float(i))
         expect_bytes[kind] += size
         expect_counts[kind] += 1
-    index.flush()
-    totals = index.stats()
+    entries = scan_entries(tmp_path)
     walked = sum(p.stat().st_size for p in iter_entry_files(tmp_path))
-    assert sum(b["bytes"] for b in totals.values()) == walked
+    assert sum(entry.size for entry in entries) == walked
     for kind in expect_counts:
-        assert totals[kind]["entries"] == expect_counts[kind]
-        assert totals[kind]["bytes"] == expect_bytes[kind]
-    assert totals["stats"]["oldest_hit"] == 0.0
-    assert totals["stats"]["newest_hit"] == 4.0
+        of_kind = [entry for entry in entries if entry.kind == kind]
+        assert len(of_kind) == expect_counts[kind]
+        assert sum(entry.size for entry in of_kind) == expect_bytes[kind]
+    stats_hits = [entry.last_hit for entry in entries if entry.kind == "stats"]
+    assert min(stats_hits) == 0.0
+    assert max(stats_hits) == 4.0
+
+
+def test_scan_reads_kind_summary_and_timestamps(tmp_path):
+    size = _write_entry(tmp_path, _key(0), _payload(0, kind="cachetest"))
+    _seed_times(tmp_path, _key(0), created=100.0, hit=250.0)
+    _write_entry(tmp_path, _key(1), _payload(1))
+    _seed_times(tmp_path, _key(1), created=300.0, hit=200.0)  # never hit
+    torn = tmp_path / "cc" / f"{_key(2)}.json"
+    torn.parent.mkdir(parents=True, exist_ok=True)
+    torn.write_text('{"schema": 1, "torn', encoding="utf-8")
+
+    entries = {entry.key: entry for entry in scan_entries(tmp_path)}
+    first = entries[_key(0)]
+    assert (first.kind, first.size, first.workload, first.protocol) == \
+        ("cachetest", size, "wl-0", "MESI")
+    assert (first.created, first.last_hit) == (100.0, 250.0)
+    assert entries[_key(1)].kind == "stats"
+    assert entries[_key(1)].last_hit == 300.0  # max(atime, mtime)
+    assert entries[_key(2)].kind == "?"         # evictable under any filter
+
+
+def test_inspecting_entries_is_not_a_hit(tmp_path):
+    """Only ``ResultCache.get`` moves the last-hit signal: scans and
+    report reads leave an entry's atime where it was."""
+    _write_entry(tmp_path, _key(0), _payload(0))
+    _seed_times(tmp_path, _key(0), created=2000.0, hit=1000.0)
+    path = tmp_path / _key(0)[:2] / f"{_key(0)}.json"
+    scan_entries(tmp_path)
+    read_entry(path)
+    assert os.stat(path).st_atime == 1000.0
 
 
 # ----------------------------------------------------------------------- GC
@@ -245,35 +123,29 @@ def test_stats_totals_match_tree_walk(tmp_path):
 
 def _populate(tmp_path, count: int, kind: str = "stats"):
     """``count`` entries with last_hit == i (strictly increasing ages)."""
-    index = CacheIndex(tmp_path)
     sizes = {}
     for i in range(count):
         key = _key(i)
         sizes[key] = _write_entry(tmp_path, key, _payload(i, kind=kind,
                                                           filler=10))
-        index.record_put(key, _payload(i, kind=kind, filler=10), sizes[key],
-                         now=float(i))
-    index.flush()
-    return index, sizes
+        _seed_times(tmp_path, key, created=float(i), hit=float(i))
+    return sizes
 
 
 def test_gc_max_age_never_removes_entries_newer_than_cutoff(tmp_path):
-    index, _ = _populate(tmp_path, 6)
-    report = collect_garbage(tmp_path, max_age=3.0, now=6.0, index=index)
+    _populate(tmp_path, 6)
+    report = collect_garbage(tmp_path, max_age=3.0, now=6.0)
     # cutoff = 3.0: entries with last_hit 0,1,2 go; 3,4,5 stay.
     assert sorted(report.removed) == sorted(_key(i) for i in range(3))
     survivors = {p.stem for p in iter_entry_files(tmp_path)}
     assert survivors == {_key(i) for i in range(3, 6)}
-    # Index was updated in the same pass.
-    assert set(index.load()) == survivors
-    assert index.verify().in_sync
 
 
 def test_gc_max_bytes_evicts_lru_first(tmp_path):
-    index, sizes = _populate(tmp_path, 5)
+    sizes = _populate(tmp_path, 5)
     per_entry = next(iter(sizes.values()))
     budget = 2 * per_entry  # keep the two most recently hit
-    report = collect_garbage(tmp_path, max_bytes=budget, now=10.0, index=index)
+    report = collect_garbage(tmp_path, max_bytes=budget, now=10.0)
     assert sorted(report.removed) == sorted(_key(i) for i in range(3))
     assert report.remaining_bytes <= budget
     assert report.remaining_entries == 2
@@ -281,28 +153,25 @@ def test_gc_max_bytes_evicts_lru_first(tmp_path):
 
 
 def test_gc_recent_hit_rescues_an_old_entry(tmp_path):
-    index, sizes = _populate(tmp_path, 4)
-    index.record_hit(_key(0), now=100.0)  # oldest entry becomes hottest
+    sizes = _populate(tmp_path, 4)
+    # The oldest entry becomes the hottest.
+    _seed_times(tmp_path, _key(0), created=0.0, hit=100.0)
     per_entry = next(iter(sizes.values()))
-    report = collect_garbage(tmp_path, max_bytes=2 * per_entry, now=200.0,
-                             index=index)
+    report = collect_garbage(tmp_path, max_bytes=2 * per_entry, now=200.0)
     assert _key(0) not in report.removed
     assert {p.stem for p in iter_entry_files(tmp_path)} == {_key(0), _key(3)}
 
 
 def test_gc_kind_filter_restricts_eviction_but_counts_all_bytes(tmp_path):
-    index = CacheIndex(tmp_path)
     sizes = {}
     for i in range(4):
         kind = "stats" if i < 2 else "cachetest"
         key = _key(i)
         sizes[key] = _write_entry(tmp_path, key, _payload(i, kind=kind,
                                                           filler=10))
-        index.record_put(key, _payload(i, kind=kind, filler=10), sizes[key],
-                         now=float(i))
-    index.flush()
+        _seed_times(tmp_path, key, created=float(i), hit=float(i))
     report = collect_garbage(tmp_path, max_bytes=0, kinds=["cachetest"],
-                             now=10.0, index=index)
+                             now=10.0)
     # Only cachetest entries are evictable; the stats entries survive and
     # keep the remaining total above the (impossible) zero budget.
     assert sorted(report.removed) == sorted([_key(2), _key(3)])
@@ -311,20 +180,16 @@ def test_gc_kind_filter_restricts_eviction_but_counts_all_bytes(tmp_path):
 
 
 def test_gc_dry_run_removes_nothing(tmp_path):
-    index, _ = _populate(tmp_path, 3)
-    report = collect_garbage(tmp_path, max_age=0.0, now=100.0, index=index,
-                             dry_run=True)
+    _populate(tmp_path, 3)
+    report = collect_garbage(tmp_path, max_age=0.0, now=100.0, dry_run=True)
     assert report.dry_run
     assert len(report.removed) == 3
     assert "would remove" in report.describe()
     assert len(list(iter_entry_files(tmp_path))) == 3
-    assert len(index.load()) == 3
 
 
 def test_gc_reaps_orphaned_tmps_past_grace_only(tmp_path):
-    import os
-
-    index, _ = _populate(tmp_path, 1)
+    _populate(tmp_path, 1)
     subdir = tmp_path / _key(0)[:2]
     stale = subdir / f"{_key(5)}.4242.tmp"
     stale.write_text("{", encoding="utf-8")
@@ -333,7 +198,7 @@ def test_gc_reaps_orphaned_tmps_past_grace_only(tmp_path):
     fresh.write_text("{", encoding="utf-8")  # mtime = now: mid-put writer
 
     # No eviction policy: the pass only reaps orphaned tmp files.
-    report = collect_garbage(tmp_path, index=index)
+    report = collect_garbage(tmp_path)
     assert report.tmps_removed == 1
     assert not stale.exists()
     assert fresh.exists()
@@ -341,8 +206,6 @@ def test_gc_reaps_orphaned_tmps_past_grace_only(tmp_path):
 
 
 def test_gc_without_index_falls_back_to_mtimes(tmp_path):
-    import os
-
     for i in range(2):
         _write_entry(tmp_path, _key(i), _payload(i))
     old = tmp_path / _key(0)[:2] / f"{_key(0)}.json"
@@ -355,25 +218,30 @@ def test_gc_without_index_falls_back_to_mtimes(tmp_path):
 # --------------------------------------------------------- ResultCache glue
 
 
-def test_result_cache_put_get_maintain_index(tmp_path):
+def test_hit_raises_atime_and_keeps_mtime(tmp_path):
     cache = ResultCache(tmp_path)
     key = _key(0)
     cache.put(key, _payload(0))
-    assert cache.get(key) is not None
-    cache.flush_index()
-    record = cache.index.load()[key]
-    assert record["kind"] == "stats"
-    assert record["size"] == (tmp_path / key[:2] / f"{key}.json").stat().st_size
-    assert record["last_hit"] >= record["created"]
-    assert cache.index.verify().in_sync
+    created = cache.path(key).stat().st_mtime_ns
+    hit_time = time.time_ns()
+    assert cache.get(key) == _payload(0)
+    stat = cache.path(key).stat()
+    assert stat.st_mtime_ns == created
+    assert stat.st_atime_ns >= hit_time
 
 
-def test_untracked_cache_writes_no_index(tmp_path):
-    cache = ResultCache(tmp_path, track=False)
-    cache.put(_key(0), _payload(0))
-    assert cache.get(_key(0)) is not None
-    cache.flush_index()
-    assert not (tmp_path / cache_index.INDEX_BASENAME).exists()
+def test_hit_survives_a_failed_touch(tmp_path, monkeypatch):
+    cache = ResultCache(tmp_path)
+    key = _key(0)
+    cache.put(key, _payload(0))
+
+    def refuse(*args, **kwargs):
+        raise OSError(30, "Read-only file system")
+
+    monkeypatch.setattr(parallel.os, "utime", refuse)
+    assert cache.get(key) == _payload(0)
+    assert (cache.hits, cache.misses) == (1, 0)
+    assert cache.path(key).exists()
 
 
 # ------------------------------------------------------------------ the CLI
@@ -401,7 +269,6 @@ def test_cache_cli_stats_ls_verify_rebuild_roundtrip(tmp_path, capsys):
     cache = ResultCache(tmp_path)
     for i in range(3):
         cache.put(_key(i), _payload(i))
-    cache.flush_index()
     root = str(tmp_path)
 
     assert main(["cache", "stats", "--cache-dir", root]) == 0
@@ -412,28 +279,11 @@ def test_cache_cli_stats_ls_verify_rebuild_roundtrip(tmp_path, capsys):
     out = capsys.readouterr().out
     assert _key(0)[:12] in out or _key(1)[:12] in out or _key(2)[:12] in out
 
-    assert main(["cache", "verify", "--cache-dir", root]) == 0
-    assert "OK: index and tree agree" in capsys.readouterr().out
-
-    # Diverge the index (extra tree entry), then heal it.
-    blob = json.dumps(_payload(9), sort_keys=True)
-    extra = tmp_path / _key(9)[:2] / f"{_key(9)}.json"
-    extra.parent.mkdir(parents=True, exist_ok=True)
-    extra.write_text(blob, encoding="utf-8")
-    assert main(["cache", "verify", "--cache-dir", root]) == 1
-    err = capsys.readouterr().err
-    assert "missing from index" in err and "cache rebuild" in err
-
-    assert main(["cache", "rebuild", "--cache-dir", root]) == 0
-    assert "4 entries" in capsys.readouterr().out
-    assert main(["cache", "verify", "--cache-dir", root]) == 0
-
 
 def test_cache_cli_gc_policies_and_exit_codes(tmp_path, capsys):
     cache = ResultCache(tmp_path)
     for i in range(3):
         cache.put(_key(i), _payload(i))
-    cache.flush_index()
     root = str(tmp_path)
 
     # No policy and not a dry run: refuse.
@@ -447,7 +297,7 @@ def test_cache_cli_gc_policies_and_exit_codes(tmp_path, capsys):
     assert "malformed size" in capsys.readouterr().err
     assert main(["cache", "gc", "--cache-dir", root, "--max-age", "0"]) == 2
     assert "malformed age" in capsys.readouterr().err
-    assert sorted(CacheIndex(tmp_path).load()) \
+    assert sorted(p.stem for p in iter_entry_files(tmp_path)) \
         == sorted(_key(i) for i in range(3))
     # Dry run previews without a policy.
     assert main(["cache", "gc", "--cache-dir", root, "--dry-run"]) == 0

@@ -1,13 +1,14 @@
-"""Property-based tests for the index and GC invariants.
+"""Property-based tests for the tree scan and GC invariants.
 
 A model-checking harness: random op sequences (put / hit / gc-by-age /
-gc-by-bytes / rebuild) run against a real cache tree **and** a pure
-in-memory model, under a logical clock (every ``now=`` is injected, so
-the properties are exact, not timing-dependent).  After every operation:
+gc-by-bytes) run against a real cache tree **and** a pure in-memory
+model, under a logical clock (every ``now=`` is injected and every put
+and hit sets the entry's timestamps with ``os.utime``, so the properties
+are exact, not timing-dependent).  After every operation:
 
-* the flushed index equals the model exactly (``rebuild(scan(tree))`` is
-  a fixpoint of an in-sync index);
-* ``stats()`` totals equal a fresh tree walk;
+* a scan of the tree equals the model exactly (kind, size, created =
+  mtime, last hit = max(atime, mtime));
+* the scan's totals equal a fresh tree walk;
 * age-GC never removed an entry whose last hit is newer than the cutoff;
 * bytes-GC evicted in strict LRU order and landed within budget.
 """
@@ -16,14 +17,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import tempfile
 from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.cache_index import (CacheIndex, collect_garbage,
-                                        iter_entry_files, summarize_payload)
+from repro.analysis.cache_gc import (collect_garbage, iter_entry_files,
+                                     scan_entries)
 from repro.sim.stats import STATS_SCHEMA_VERSION
 
 _KEYS = [hashlib.sha256(f"prop-{i}".encode()).hexdigest() for i in range(8)]
@@ -38,9 +40,13 @@ def _payload(i: int):
     return payload
 
 
-def _write_entry(root: Path, i: int) -> int:
+def _path(root: Path, i: int) -> Path:
     key = _KEYS[i]
-    path = root / key[:2] / f"{key}.json"
+    return root / key[:2] / f"{key}.json"
+
+
+def _write_entry(root: Path, i: int) -> int:
+    path = _path(root, i)
     path.parent.mkdir(parents=True, exist_ok=True)
     blob = json.dumps(_payload(i), sort_keys=True)
     path.write_text(blob, encoding="utf-8")
@@ -48,11 +54,8 @@ def _write_entry(root: Path, i: int) -> int:
 
 
 def _model_record(i: int, size: int, created: float, last_hit: float):
-    payload = _payload(i)
-    return {"kind": payload.get("kind", "stats"),
-            "payload_schema": payload["schema"], "size": size,
-            "created": created, "last_hit": last_hit,
-            "summary": summarize_payload(payload)}
+    return {"kind": _payload(i).get("kind", "stats"), "size": size,
+            "created": created, "last_hit": last_hit}
 
 
 _OPS = st.lists(
@@ -61,7 +64,6 @@ _OPS = st.lists(
         st.tuples(st.just("hit"), st.integers(0, len(_KEYS) - 1)),
         st.tuples(st.just("gc_age"), st.integers(0, 12)),
         st.tuples(st.just("gc_bytes"), st.integers(0, 600)),
-        st.tuples(st.just("rebuild"), st.just(0)),
     ),
     min_size=1, max_size=24,
 )
@@ -72,25 +74,23 @@ _OPS = st.lists(
 def test_index_and_gc_agree_with_a_pure_model(ops):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        index = CacheIndex(root)
         model = {}  # key -> record dict, mirrored expectations
 
         for step, (op, arg) in enumerate(ops):
             now = float(step + 1)  # logical clock: unique, increasing
             if op == "put":
                 size = _write_entry(root, arg)
-                index.record_put(_KEYS[arg], _payload(arg), size, now=now)
+                os.utime(_path(root, arg), (now, now))
                 model[_KEYS[arg]] = _model_record(arg, size, now, now)
             elif op == "hit":
-                index.record_hit(_KEYS[arg], now=now)
                 if _KEYS[arg] in model:
                     record = model[_KEYS[arg]]
+                    os.utime(_path(root, arg), (now, record["created"]))
                     record["last_hit"] = max(record["last_hit"], now)
-                # else: a hit the index never saw a put for is dropped.
+                # else: a hit on an absent entry is a miss.
             elif op == "gc_age":
                 cutoff = now - float(arg)
-                report = collect_garbage(root, max_age=float(arg), now=now,
-                                         index=index)
+                report = collect_garbage(root, max_age=float(arg), now=now)
                 # Invariant: nothing newer than the cutoff was removed.
                 for key in report.removed:
                     assert model[key]["last_hit"] < cutoff
@@ -100,8 +100,7 @@ def test_index_and_gc_agree_with_a_pure_model(ops):
                 for key in report.removed:
                     del model[key]
             elif op == "gc_bytes":
-                report = collect_garbage(root, max_bytes=arg, now=now,
-                                         index=index)
+                report = collect_garbage(root, max_bytes=arg, now=now)
                 # Strict LRU: survivors are exactly the hottest suffix that
                 # fits the budget (timestamps are unique by construction).
                 order = sorted(model.items(),
@@ -118,41 +117,16 @@ def test_index_and_gc_agree_with_a_pure_model(ops):
                 assert report.remaining_bytes <= arg or not model
                 for key in report.removed:
                     del model[key]
-            else:  # rebuild
-                index.flush()
-                rebuilt = index.rebuild(now=now)
-                assert rebuilt == model  # fixpoint: timestamps preserved
 
             # --- invariants after every op ---------------------------------
-            assert index.flush()
-            on_disk = index.load()
-            assert on_disk == model
+            entries = scan_entries(root)
+            assert {entry.key: {"kind": entry.kind, "size": entry.size,
+                                "created": entry.created,
+                                "last_hit": entry.last_hit}
+                    for entry in entries} == model
 
-            # stats() totals equal a fresh tree walk.
+            # The scan's totals equal a fresh tree walk.
             walked_files = list(iter_entry_files(root))
-            totals = index.stats()
-            assert sum(b["entries"] for b in totals.values()) == \
-                len(walked_files)
-            assert sum(b["bytes"] for b in totals.values()) == \
+            assert len(entries) == len(walked_files)
+            assert sum(entry.size for entry in entries) == \
                 sum(path.stat().st_size for path in walked_files)
-
-            # verify() agrees the index faithfully describes the tree.
-            assert index.verify().in_sync
-
-
-@settings(max_examples=40, deadline=None)
-@given(puts=st.sets(st.integers(0, len(_KEYS) - 1), min_size=0, max_size=8))
-def test_rebuild_of_any_tree_indexes_exactly_the_tree(puts):
-    """rebuild(scan(tree)) == tree, from any starting index state
-    (including none at all)."""
-    with tempfile.TemporaryDirectory() as tmp:
-        root = Path(tmp)
-        sizes = {_KEYS[i]: _write_entry(root, i) for i in puts}
-        index = CacheIndex(root)
-        entries = index.rebuild(now=100.0)
-        assert set(entries) == set(sizes)
-        for key, record in entries.items():
-            assert record["size"] == sizes[key]
-        assert index.verify().in_sync
-        # A second rebuild changes nothing.
-        assert index.rebuild(now=200.0) == entries

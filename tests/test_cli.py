@@ -100,9 +100,23 @@ def test_run_command_rejects_unknown_workload(capsys):
     ["litmus", "--iterations", "0"],
     ["litmus", "--iterations", "-2"],
     ["cache", "ls", "--limit", "-1"],
+    # A --kind that names no registered cell kind.
+    ["cache", "gc", "--kind", "bogus", "--max-age", "1s"],
+    ["cache", "ls", "--kind", "bogus"],
+    ["report", "cache", "--kind", "bogus", "--cache-dir", "TMP"],
+    ["report", "diff", "TMP", "TMP", "--kind", "bogus"],
+    # A directory that must already exist.
+    ["shard", "merge", "--from", "MISSING", "--cache-dir", "TMP"],
+    ["fuzz", "merge", "--from", "MISSING", "--cache-dir", "TMP"],
+    ["cache", "stats", "--cache-dir", "MISSING"],
+    ["cache", "ls", "--cache-dir", "MISSING"],
+    ["cache", "gc", "--max-age", "1s", "--cache-dir", "MISSING"],
+    ["report", "cache", "--cache-dir", "MISSING"],
 ], ids=" ".join)
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
-    if argv[0] == "cache":
+    paths = {"TMP": str(tmp_path), "MISSING": str(tmp_path / "missing")}
+    argv = [paths.get(arg, arg) for arg in argv]
+    if argv[0] == "cache" and "--cache-dir" not in argv:
         argv = argv + ["--cache-dir", str(tmp_path)]
     assert main(argv) == 2
     captured = capsys.readouterr()
