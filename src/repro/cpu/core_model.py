@@ -155,7 +155,6 @@ class CoreModel:
         self.on_finish = on_finish
 
         self._generator = program(context)
-        self._started = False
         self._program_done = False
         self.finished = False
 
@@ -166,6 +165,9 @@ class CoreModel:
         # completion callbacks can skip the observe step (and its closure
         # allocations) entirely; the litmus runner takes the slow path.
         self._observe = context.observe if context.observer is not None else None
+        # The load fast path tests the buffer's emptiness on every load; the
+        # deque is bound once instead of going through the is_empty property.
+        self._wb_entries = write_buffer._entries
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -185,22 +187,37 @@ class CoreModel:
 
         Dispatch is inlined here (rather than a separate ``_execute``
         method) because this resume-dispatch pair runs once per program
-        operation; types are checked most-frequent first (loads dominate
-        every workload).
+        operation.  The exact types ``Load``, ``Work`` and ``Store`` are
+        matched by identity, most frequent first; a load with no observer
+        and an empty write buffer goes straight to the L1 (nothing can
+        forward to it).  Everything else, subclasses included, takes the
+        ``isinstance`` chain.
         """
         if self._program_done:
             return
         try:
-            if not self._started:
-                self._started = True
-                op = next(self._generator)
-            else:
-                op = self._generator.send(send_value)
+            # send(None) starts a fresh generator like next() does.
+            op = self._generator.send(send_value)
         except StopIteration:
             self._program_done = True
             self._try_finish()
             return
-        if isinstance(op, Load):
+        kind = type(op)
+        if kind is Load:
+            if self._observe is None and not self._wb_entries:
+                stats = self.stats
+                stats.loads += 1
+                stats.memory_ops += 1
+                self.l1.issue_load(op.address, self._advance)
+            else:
+                self._execute_load(op)
+        elif kind is Work:
+            cycles = op.cycles
+            self.stats.work_cycles += cycles
+            self.sim.schedule_call(cycles if cycles > 1 else 1, self._advance, None)
+        elif kind is Store:
+            self._execute_store(op)
+        elif isinstance(op, Load):
             self._execute_load(op)
         elif isinstance(op, Store):
             self._execute_store(op)

@@ -9,9 +9,11 @@ A message carries:
 * source and destination node ids,
 * the line address it concerns (``None`` for broadcasts such as timestamp
   resets),
-* an optional full-line data payload, and
-* a free-form ``info`` dictionary for protocol-specific fields (timestamps,
-  epoch-ids, owner / last-writer ids, ack counts ...).
+* an optional full-line data payload,
+* the fields every data response or request reads (``requester``,
+  ``writer``, ``ts``, ``epoch``, ``tile``) as slots, and
+* a free-form ``info`` dictionary for the rarer protocol-specific fields
+  (owner ids, dirty flags, ack counts ...).
 
 Flit accounting follows the paper's platform: 16-byte flits, 8-byte control
 header.  A control message therefore occupies 1 flit and a data-carrying
@@ -102,7 +104,7 @@ for _index, _member in enumerate(MessageType):
 NUM_MESSAGE_TYPES = len(MessageType)
 
 
-_MESSAGE_SEQ = itertools.count()
+MESSAGE_SEQ = itertools.count()
 
 
 @dataclass(slots=True)
@@ -118,9 +120,14 @@ class Message:
         dst: destination node id.
         address: line address the message concerns (``None`` for broadcasts).
         data: optional full-line data payload (offset -> value).
-        info: protocol-specific fields (timestamps, epochs, ack counts ...).
+        info: rarer protocol-specific fields (owner ids, dirty flags ...).
         send_time: simulation time the message entered the network.
         uid: unique id, useful for debugging and deterministic tie-breaking.
+        requester: id of the core whose request the message serves.
+        writer: id of the last writer of the carried line (TSO-CC).
+        ts: timestamp of the carried line (TSO-CC; ``None`` if invalid).
+        epoch: epoch-id of ``ts`` (TSO-CC), or the new epoch of a reset.
+        tile: L2 tile that sourced a SharedRO timestamp (TSO-CC).
     """
 
     mtype: MessageType
@@ -130,7 +137,7 @@ class Message:
     data: Optional[Dict[int, int]] = None
     info: Dict[str, Any] = field(default_factory=dict)
     send_time: int = 0
-    uid: int = field(default_factory=lambda: next(_MESSAGE_SEQ))
+    uid: int = field(default_factory=lambda: next(MESSAGE_SEQ))
     #: ``True`` for messages acquired from a :class:`MessagePool`; only those
     #: are recycled after delivery.
     pooled: bool = False
@@ -138,6 +145,11 @@ class Message:
     #: its delivery callback (deferred replay, blocked queues, fetch
     #: continuations); a retained message is never recycled.
     retained: bool = False
+    requester: Optional[int] = None
+    writer: Optional[int] = None
+    ts: Optional[int] = None
+    epoch: int = 0
+    tile: Optional[int] = None
 
     def retain(self) -> "Message":
         """Opt this message out of pool recycling.
@@ -198,8 +210,20 @@ class MessagePool:
         address: Optional[int] = None,
         data: Optional[Dict[int, int]] = None,
         info: Optional[Dict[str, Any]] = None,
+        requester: Optional[int] = None,
+        writer: Optional[int] = None,
+        ts: Optional[int] = None,
+        epoch: int = 0,
+        tile: Optional[int] = None,
     ) -> Message:
-        """Return a ready-to-send message, recycled when possible."""
+        """Return a ready-to-send message, recycled when possible.
+
+        A recycled message gets every field reset, the slotted ones too: a
+        stale ``ts`` left over from an earlier response would silently
+        change a TSO-CC self-invalidation decision.
+        """
+        if info is None:
+            info = {}
         free = self._free
         if free:
             msg = free.pop()
@@ -208,13 +232,18 @@ class MessagePool:
             msg.dst = dst
             msg.address = address
             msg.data = data
-            msg.info = info if info is not None else {}
+            msg.info = info
             msg.send_time = 0
-            msg.uid = next(_MESSAGE_SEQ)
+            msg.uid = next(MESSAGE_SEQ)
+            msg.requester = requester
+            msg.writer = writer
+            msg.ts = ts
+            msg.epoch = epoch
+            msg.tile = tile
             return msg
-        return Message(mtype=mtype, src=src, dst=dst, address=address,
-                       data=data, info=info if info is not None else {},
-                       pooled=True)
+        return Message(mtype, src, dst, address, data, info, pooled=True,
+                       requester=requester, writer=writer, ts=ts,
+                       epoch=epoch, tile=tile)
 
     def release(self, msg: Message) -> None:
         """Recycle ``msg``.  Only the network's delivery path may call this,

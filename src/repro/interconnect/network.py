@@ -154,18 +154,6 @@ class NetworkStats:
         return (f"NetworkStats(messages={self.messages}, flits={self.flits}, "
                 f"hops_weighted_flits={self.hops_weighted_flits})")
 
-    def record(self, msg: Message, flits: int, hops: int) -> None:
-        """Account one delivered message (``flits * max(1, hops)`` link
-        traversals — zero-hop messages are floored to one, see the class
-        docstring)."""
-        self.messages += 1
-        self.flits += flits
-        self.hops_weighted_flits += flits * (hops if hops > 1 else 1)
-        index = msg.mtype.index
-        self._type_counts[index] += 1
-        self._type_flits[index] += flits
-        self._dirty = True
-
     def as_dict(self) -> Dict[str, float]:
         """Return a flat summary dictionary for reporting."""
         summary: Dict[str, float] = {
@@ -291,15 +279,19 @@ class Network:
         latency plus ``extra_delay`` (used by controllers to model their own
         occupancy / access latencies without scheduling separate events).
         """
-        handler = self._handlers.get(msg.dst)
-        if handler is None:
-            raise ValueError(f"no handler registered for destination node {msg.dst}")
+        try:
+            handler = self._handlers[msg.dst]
+        except KeyError:
+            raise ValueError(
+                f"no handler registered for destination node {msg.dst}") from None
         mtype = msg.mtype
         if mtype.carries_data and msg.data is not None:
             flits = self._data_flits
         else:
             flits = self._ctrl_flits
         hops = self._hops[msg.src][msg.dst]
+        # Account the message: ``flits * max(1, hops)`` link traversals, as
+        # zero-hop messages are floored to one (see NetworkStats).
         stats = self.stats
         stats.messages += 1
         stats.flits += flits
@@ -336,6 +328,10 @@ class Network:
     ) -> int:
         """Send a copy of ``template`` to every node in ``destinations``.
 
+        Each copy carries copies of the template's ``data`` and ``info`` and
+        its slotted fields (``requester``, ``writer``, ``ts``, ``epoch``,
+        ``tile``).
+
         Args:
             template: message to replicate (``dst`` is overwritten per copy).
             destinations: target node ids.
@@ -357,6 +353,11 @@ class Network:
                 template.address,
                 dict(template.data) if template.data is not None else None,
                 dict(template.info),
+                requester=template.requester,
+                writer=template.writer,
+                ts=template.ts,
+                epoch=template.epoch,
+                tile=template.tile,
             )
             self.send(copy, extra_delay=extra_delay)
             count += 1

@@ -51,12 +51,14 @@ class MeshTopology:
 
     def l1_node(self, core_id: int) -> int:
         """Network node id of core ``core_id``'s L1 controller."""
-        self._check_core(core_id)
+        if not 0 <= core_id < self.num_cores:
+            raise ValueError(f"core id {core_id} out of range [0, {self.num_cores})")
         return core_id
 
     def l2_node(self, tile_id: int) -> int:
         """Network node id of L2 tile ``tile_id``."""
-        self._check_tile(tile_id)
+        if not 0 <= tile_id < self.num_l2_tiles:
+            raise ValueError(f"tile id {tile_id} out of range [0, {self.num_l2_tiles})")
         return self.num_cores + tile_id
 
     def is_l1_node(self, node_id: int) -> bool:
@@ -141,13 +143,3 @@ class MeshTopology:
     def all_l2_nodes(self) -> list[int]:
         """Node ids of every L2 tile."""
         return [self.l2_node(i) for i in range(self.num_l2_tiles)]
-
-    # -- validation --------------------------------------------------------
-
-    def _check_core(self, core_id: int) -> None:
-        if not 0 <= core_id < self.num_cores:
-            raise ValueError(f"core id {core_id} out of range [0, {self.num_cores})")
-
-    def _check_tile(self, tile_id: int) -> None:
-        if not 0 <= tile_id < self.num_l2_tiles:
-            raise ValueError(f"tile id {tile_id} out of range [0, {self.num_l2_tiles})")

@@ -113,7 +113,7 @@ class AddressMap:
         Lines are interleaved across tiles at line granularity, mirroring the
         static NUCA mapping assumed in the paper's evaluation platform.
         """
-        return self.line_index(address) % self.num_l2_tiles
+        return (address >> self.offset_bits) % self.num_l2_tiles
 
     def lines_in_range(self, base: int, size_bytes: int) -> list[int]:
         """Return the list of line addresses touched by the byte range

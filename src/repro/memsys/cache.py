@@ -74,6 +74,10 @@ class CacheArray:
         # line_address -> (set_index, way) for O(1) lookup
         self._index: Dict[int, tuple] = {}
         self._line_mask = address_map.line_mask
+        # Set index = line index mod num_sets, precomputed as a shift and a
+        # mask (num_sets is a power of two, checked above).
+        self._set_shift = address_map.offset_bits
+        self._set_mask = num_sets - 1
 
     # -- basic queries ----------------------------------------------------
 
@@ -125,7 +129,7 @@ class CacheArray:
     def set_occupancy(self, address: int) -> int:
         """Return the number of valid lines in the set that ``address`` maps
         to (useful in tests and for conflict statistics)."""
-        set_index = self.address_map.set_index(address, self.num_sets)
+        set_index = (address >> self._set_shift) & self._set_mask
         return sum(1 for line in self._sets[set_index] if line is not None)
 
     # -- mutation ---------------------------------------------------------
@@ -160,7 +164,7 @@ class CacheArray:
             self.replacement.touch(set_index, way)
             return None
 
-        set_index = self.address_map.set_index(line_addr, self.num_sets)
+        set_index = (line_addr >> self._set_shift) & self._set_mask
         ways = self._sets[set_index]
         for way, resident in enumerate(ways):
             if resident is None:
@@ -193,11 +197,13 @@ class CacheArray:
         """Return ``True`` if inserting a line for ``address`` would require
         evicting a resident line (i.e. the target set is full and the address
         is not already resident)."""
-        line_addr = self.address_map.line_address(address)
+        line_addr = address & self._line_mask
         if line_addr in self._index:
             return False
-        set_index = self.address_map.set_index(line_addr, self.num_sets)
-        return all(entry is not None for entry in self._sets[set_index])
+        for entry in self._sets[(line_addr >> self._set_shift) & self._set_mask]:
+            if entry is None:
+                return False
+        return True
 
     def pick_victim(
         self,
@@ -209,7 +215,7 @@ class CacheArray:
         needed."""
         if not self.needs_eviction(address):
             return None
-        set_index = self.address_map.set_index(address, self.num_sets)
+        set_index = (address >> self._set_shift) & self._set_mask
         ways = self._sets[set_index]
         candidates = list(range(self.assoc))
         if victim_filter is not None:
@@ -239,8 +245,7 @@ class CacheArray:
 
     def remove(self, address: int) -> Optional[CacheLine]:
         """Remove and return the line containing ``address`` (or ``None``)."""
-        line_addr = self.address_map.line_address(address)
-        loc = self._index.pop(line_addr, None)
+        loc = self._index.pop(address & self._line_mask, None)
         if loc is None:
             return None
         set_index, way = loc

@@ -48,15 +48,13 @@ class LRUReplacement(ReplacementPolicy):
         self._clock = 0
         self._last_use: Dict[tuple, int] = {}
 
-    def _tick(self) -> int:
-        self._clock += 1
-        return self._clock
-
     def touch(self, set_index: int, way: int) -> None:
-        self._last_use[(set_index, way)] = self._tick()
+        self._clock += 1
+        self._last_use[(set_index, way)] = self._clock
 
     def fill(self, set_index: int, way: int) -> None:
-        self._last_use[(set_index, way)] = self._tick()
+        self._clock += 1
+        self._last_use[(set_index, way)] = self._clock
 
     def invalidate(self, set_index: int, way: int) -> None:
         self._last_use.pop((set_index, way), None)
@@ -77,16 +75,13 @@ class FIFOReplacement(ReplacementPolicy):
         self._clock = 0
         self._fill_time: Dict[tuple, int] = {}
 
-    def _tick(self) -> int:
-        self._clock += 1
-        return self._clock
-
     def touch(self, set_index: int, way: int) -> None:
         # FIFO ignores accesses.
         return None
 
     def fill(self, set_index: int, way: int) -> None:
-        self._fill_time[(set_index, way)] = self._tick()
+        self._clock += 1
+        self._fill_time[(set_index, way)] = self._clock
 
     def invalidate(self, set_index: int, way: int) -> None:
         self._fill_time.pop((set_index, way), None)

@@ -44,7 +44,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, ClassVar, Dict, List, Optional, Protocol
 
-from repro.interconnect.message import NUM_MESSAGE_TYPES, Message, MessageType
+from repro.interconnect.message import (MESSAGE_SEQ, NUM_MESSAGE_TYPES,
+                                        Message, MessageType)
 from repro.interconnect.network import Network
 from repro.interconnect.topology import MeshTopology
 from repro.memsys.address import AddressMap
@@ -89,22 +90,21 @@ class PendingTransaction:
     """One outstanding L1 miss / upgrade transaction for a cache line.
 
     Slotted: these records sit on the hot allocation path (one per L1 miss)
-    of multi-million-event runs.
+    of multi-million-event runs.  ``issue_load``/``issue_store``/``issue_rmw``
+    build them positionally.
 
     Attributes:
-        kind: ``"load"``, ``"store"``, ``"rmw"`` or ``"fence"``.
+        kind: ``"load"``, ``"store"`` or ``"rmw"``.
         line_address: the line the transaction concerns.
         address: the word address of the triggering operation.
         value: store value (stores only).
         modify: RMW modify function (RMWs only).
         callback: completion callback supplied by the core model.
         start_time: issue time, used for latency statistics.
-        acks_expected: invalidation acknowledgements still outstanding
-            (protocols that collect acks at the requester).
-        data_message: data response received while acks were still pending.
         deferred: operations on the same line issued while this transaction
             was outstanding; replayed once it completes.
-        meta: protocol-specific scratch data.
+        inv_raced: an invalidation overtook the data response in flight, so
+            the response may be used once but must not stay cached.
     """
 
     kind: str
@@ -114,10 +114,8 @@ class PendingTransaction:
     modify: Optional[Callable[[int], int]] = None
     callback: Optional[Callable] = None
     start_time: int = 0
-    acks_expected: int = 0
-    data_message: Optional[Message] = None
     deferred: List[Callable[[], None]] = field(default_factory=list)
-    meta: Dict[str, Any] = field(default_factory=dict)
+    inv_raced: bool = False
 
 
 def compile_dispatch(controller: Any,
@@ -133,6 +131,56 @@ def compile_dispatch(controller: Any,
     for mtype, name in handlers.items():
         table[mtype.index] = getattr(controller, name)
     return table
+
+
+def pooled_send(
+    self,
+    mtype: MessageType,
+    dst: int,
+    address: Optional[int] = None,
+    data: Optional[Dict[int, int]] = None,
+    delay: int = 0,
+    requester: Optional[int] = None,
+    writer: Optional[int] = None,
+    ts: Optional[int] = None,
+    epoch: int = 0,
+    tile: Optional[int] = None,
+    **info: Any,
+) -> Message:
+    """Build and send a message from a controller (the ``send`` method of
+    both base controllers).
+
+    ``delay`` adds controller occupancy (e.g. tag access latency) on top of
+    the network latency before the message is delivered.  The hot fields
+    go to :class:`Message` slots and the rest to ``info``.
+
+    The message comes from the network's free-list, filled here inline
+    rather than through :meth:`MessagePool.acquire`, with every field reset.
+    It is recycled after delivery; receivers that keep it must call
+    :meth:`Message.retain`.
+    """
+    free = self._free
+    if free:
+        msg = free.pop()
+        msg.mtype = mtype
+        msg.src = self.node_id
+        msg.dst = dst
+        msg.address = address
+        msg.data = data
+        msg.info = info
+        msg.send_time = 0
+        msg.uid = next(MESSAGE_SEQ)
+        msg.requester = requester
+        msg.writer = writer
+        msg.ts = ts
+        msg.epoch = epoch
+        msg.tile = tile
+    else:
+        msg = Message(mtype, self.node_id, dst, address, data, info,
+                      pooled=True, requester=requester, writer=writer, ts=ts,
+                      epoch=epoch, tile=tile)
+    self.network.send(msg, delay)
+    return msg
 
 
 class BaseL1Controller:
@@ -192,7 +240,15 @@ class BaseL1Controller:
         self._evicting: Dict[int, CacheLine] = {}
         self._evict_waiters: Dict[int, List[Callable[[], None]]] = {}
         self._line_mask = address_map.line_mask
-        self._pool = network.pool
+        self._offset_mask = address_map.offset_mask
+        self._free = network.pool._free
+        # issue_load's hit runs in one frame: it reads the cache array and
+        # the read counters through these references, bound once, instead
+        # of calling CacheArray.get_line and L1Stats.record_hit.
+        self._cache_index = cache._index
+        self._cache_sets = cache._sets
+        self._read_hits = stats.read_hits
+        self._read_misses = stats.read_misses
         self._dispatch = compile_dispatch(self, self.message_handlers)
         # Prebound victim filter for install_line (one closure per controller
         # instead of one per install).
@@ -219,36 +275,9 @@ class BaseL1Controller:
         """Network node id of the home L2 tile for ``address``."""
         return self.topology.l2_node(self.address_map.home_tile(address))
 
-    def send(
-        self,
-        mtype: MessageType,
-        dst: int,
-        address: Optional[int] = None,
-        data: Optional[Dict[int, int]] = None,
-        delay: int = 0,
-        **info: Any,
-    ) -> Message:
-        """Build and send a message from this controller.
-
-        ``delay`` adds controller occupancy (e.g. tag access latency) on top
-        of the network latency before the message is delivered.
-
-        The message comes from the network's free-list and is recycled after
-        delivery; receivers that keep it must call :meth:`Message.retain`.
-        """
-        msg = self._pool.acquire(mtype, self.node_id, dst, address, data, info)
-        self.network.send(msg, extra_delay=delay)
-        return msg
+    send = pooled_send
 
     # -- pending transaction management ----------------------------------------
-
-    def pending_for(self, address: int) -> Optional[PendingTransaction]:
-        """Return the outstanding transaction for the line of ``address``."""
-        return self._pending.get(self.address_map.line_address(address))
-
-    def has_pending(self, address: int) -> bool:
-        """``True`` if the line of ``address`` has an outstanding transaction."""
-        return self.address_map.line_address(address) in self._pending
 
     def start_transaction(self, txn: PendingTransaction) -> None:
         """Register ``txn`` as the outstanding transaction for its line."""
@@ -259,37 +288,17 @@ class BaseL1Controller:
             )
         self._pending[txn.line_address] = txn
 
-    def defer(self, address: int, retry: Callable[[], None]) -> bool:
-        """If the line of ``address`` has an outstanding transaction, defer
-        ``retry`` until it completes and return ``True``."""
-        line_addr = self.address_map.line_address(address)
-        txn = self._pending.get(line_addr)
-        if txn is None:
-            return False
-        txn.deferred.append(retry)
-        return True
-
-    def deferred_or_waiting(self, address: int, retry: Callable[[], None]) -> bool:
-        """Common core-operation prologue: defer ``retry`` behind an
-        outstanding transaction or an in-flight writeback of its line.
-
-        Fuses :meth:`defer` and :meth:`wait_for_writeback` into one line
-        lookup — this prologue runs once per core memory operation.
-        """
-        queue = self._defer_queue(address)
-        if queue is None:
-            return False
-        queue.append(retry)
-        return True
-
     def _defer_queue(self, address: int) -> Optional[List[Callable[[], None]]]:
         """Return the replay queue a core operation on ``address`` must join
         (outstanding transaction or in-flight writeback), or ``None`` if the
         line is free.
 
-        Issue paths use this directly so the retry closure is only allocated
-        when the operation actually defers — the common case (line free)
-        costs one dict lookup and no allocation.
+        Re-requesting a line whose writeback is still in flight could let
+        the L2 respond with stale data, so such operations wait too.
+        ``issue_load``/``issue_store``/``issue_rmw`` test ``_pending`` and
+        ``_evicting`` themselves and call this only when the operation has
+        to defer, so the common case (line free) costs two membership
+        tests, no call and no allocation.
         """
         line_addr = address & self._line_mask
         txn = self._pending.get(line_addr)
@@ -340,46 +349,21 @@ class BaseL1Controller:
             self.sim.schedule(0, retry)
         return line
 
-    def wait_for_writeback(self, address: int, retry: Callable[[], None]) -> bool:
-        """Defer ``retry`` until an in-flight writeback of the line of
-        ``address`` has been acknowledged; returns ``True`` if deferred.
-
-        Re-requesting a line whose writeback is still in flight could let the
-        L2 respond with stale data, so core operations must wait.
-        """
-        line_addr = self.address_map.line_address(address)
-        if line_addr in self._evicting:
-            self._evict_waiters.setdefault(line_addr, []).append(retry)
-            return True
-        return False
-
     # -- completion accounting -------------------------------------------------
 
-    # Completion accounting schedules the finish step as an argument event
-    # (schedule_call) rather than a fresh closure — one event either way,
-    # but no per-operation closure + cell allocations.
-
-    def _complete_load(self, callback: Callable[[int], None], value: int, start: int) -> None:
-        self.sim.schedule_call(self.hit_latency, self._finish_load,
-                               callback, value, start)
+    # An operation completes ``hit_latency`` cycles after it is performed:
+    # the core operations and finish_txn_with_line schedule the finish step
+    # below as an argument event (schedule_call), with no closure.
 
     def _finish_load(self, callback: Callable[[int], None], value: int, start: int) -> None:
         self.stats.loads += 1
         self.stats.load_latency_total += self.sim.now - start
         callback(value)
 
-    def _complete_store(self, callback: Callable[[], None], start: int) -> None:
-        self.sim.schedule_call(self.hit_latency, self._finish_store,
-                               callback, start)
-
     def _finish_store(self, callback: Callable[[], None], start: int) -> None:
         self.stats.stores += 1
         self.stats.store_latency_total += self.sim.now - start
         callback()
-
-    def _complete_rmw(self, callback: Callable[[int], None], old: int, start: int) -> None:
-        self.sim.schedule_call(self.hit_latency, self._finish_rmw,
-                               callback, old, start)
 
     def _finish_rmw(self, callback: Callable[[int], None], old: int, start: int) -> None:
         self.stats.rmws += 1
@@ -395,29 +379,33 @@ class BaseL1Controller:
     def finish_txn_with_line(self, txn: PendingTransaction, line: CacheLine) -> None:
         """Retire ``txn`` against the just-installed ``line``: perform the
         deferred load/store/RMW, replay queued operations and complete."""
-        offset = self.address_map.line_offset(txn.address)
-        callback = txn.callback
+        offset = txn.address & self._offset_mask
+        data = line.data
         kind = txn.kind
-        start = txn.start_time
         if kind == "load":
-            value = line.read_word(offset)
+            value = data.get(offset, 0)
             self.finish_transaction(txn.line_address)
-            self._complete_load(callback, value, start)
+            self.sim.schedule_call(self.hit_latency, self._finish_load,
+                                   txn.callback, value, txn.start_time)
         elif kind == "store":
             assert txn.value is not None
-            line.write_word(offset, txn.value)
+            data[offset] = txn.value
+            line.dirty = True
             line.state = self.modified_state
             self.on_line_written(line)
             self.finish_transaction(txn.line_address)
-            self._complete_store(callback, start)
+            self.sim.schedule_call(self.hit_latency, self._finish_store,
+                                   txn.callback, txn.start_time)
         elif kind == "rmw":
             assert txn.modify is not None
-            old = line.read_word(offset)
-            line.write_word(offset, txn.modify(old))
+            old = data.get(offset, 0)
+            data[offset] = txn.modify(old)
+            line.dirty = True
             line.state = self.modified_state
             self.on_line_written(line)
             self.finish_transaction(txn.line_address)
-            self._complete_rmw(callback, old, start)
+            self.sim.schedule_call(self.hit_latency, self._finish_rmw,
+                                   txn.callback, old, txn.start_time)
         else:  # pragma: no cover - defensive
             raise RuntimeError(f"unexpected transaction kind {kind!r}")
 
@@ -427,14 +415,14 @@ class BaseL1Controller:
         """Install a data response: merge into an existing copy or insert a
         fresh line, evicting a victim (never a line with an outstanding
         transaction) through the protocol's ``_evict``."""
-        existing = self.cache.get_line(line_address)
-        if existing is not None:
-            existing.merge_data(data)
+        loc = self._cache_index.get(line_address)
+        if loc is not None:
+            existing = self._cache_sets[loc[0]][loc[1]]
+            existing.data = dict(data)
             existing.state = state
             existing.dirty = False
             return existing
-        line = CacheLine(address=line_address, state=state)
-        line.merge_data(data)
+        line = CacheLine(line_address, state, dict(data))
         victim = self.cache.insert(line,
                                    victim_filter=self._install_victim_filter)
         if victim is not None:
@@ -468,20 +456,15 @@ class BaseL1Controller:
         still in flight towards us (so it is used once but not cached as a
         stale copy) and acknowledge the sender."""
         assert msg.address is not None
-        if self.cache.get_line(msg.address) is not None:
-            self.cache.remove(msg.address)
+        self.cache.remove(msg.address)
         txn = self._pending.get(msg.address)
         if txn is not None:
-            txn.meta["inv_raced"] = True
+            txn.inv_raced = True
         self.stats.invalidations_received += 1
         self.send(MessageType.INV_ACK, msg.src, address=msg.address,
                   acker=self.core_id)
 
     # -- helpers -------------------------------------------------------------------
-
-    def after(self, delay: int, fn: Callable[[], None]) -> None:
-        """Schedule ``fn`` after ``delay`` cycles."""
-        self.sim.schedule(delay, fn)
 
     def complete_with_latency(self, fn: Callable[[], None], latency: Optional[int] = None) -> None:
         """Run ``fn`` after the L1 hit latency (or ``latency`` cycles)."""
@@ -545,7 +528,8 @@ class BaseL2Controller:
         self._blocked: Dict[int, List[Message]] = {}
         # line address -> in-progress recall/eviction bookkeeping
         self._recalls: Dict[int, Dict] = {}
-        self._pool = network.pool
+        self._line_mask = address_map.line_mask
+        self._free = network.pool._free
         self._dispatch = compile_dispatch(self, self.message_handlers)
         # blocking_types compiled to a flat bool table (MessageType.index).
         self._blocking = tuple(mtype in self.blocking_types
@@ -559,26 +543,7 @@ class BaseL2Controller:
 
     # -- messaging ------------------------------------------------------------
 
-    def send(
-        self,
-        mtype: MessageType,
-        dst: int,
-        address: Optional[int] = None,
-        data: Optional[Dict[int, int]] = None,
-        delay: int = 0,
-        **info: Any,
-    ) -> Message:
-        """Build and send a message from this tile.
-
-        ``delay`` adds tile occupancy (e.g. the tag/data access latency) on
-        top of the network latency before the message is delivered.
-
-        The message comes from the network's free-list and is recycled after
-        delivery; receivers that keep it must call :meth:`Message.retain`.
-        """
-        msg = self._pool.acquire(mtype, self.node_id, dst, address, data, info)
-        self.network.send(msg, extra_delay=delay)
-        return msg
+    send = pooled_send
 
     def l1_node(self, core_id: int) -> int:
         """Node id of core ``core_id``'s L1 controller."""
@@ -588,7 +553,7 @@ class BaseL2Controller:
 
     def is_blocked(self, address: int) -> bool:
         """``True`` while the line of ``address`` is in a transient state."""
-        return self.address_map.line_address(address) in self._blocked
+        return (address & self._line_mask) in self._blocked
 
     def block(self, address: int) -> None:
         """Put the line of ``address`` into a transient (blocked) state."""
@@ -599,25 +564,10 @@ class BaseL2Controller:
             )
         self._blocked[line_addr] = []
 
-    def defer_if_blocked(self, msg: Message) -> bool:
-        """Queue ``msg`` for replay if its line is blocked; return ``True``
-        if it was queued."""
-        if msg.address is None:
-            return False
-        line_addr = self.address_map.line_address(msg.address)
-        queue = self._blocked.get(line_addr)
-        if queue is None:
-            return False
-        # The message outlives its delivery callback; keep it out of the pool.
-        msg.retained = True
-        queue.append(msg)
-        return True
-
     def unblock(self, address: int) -> None:
         """Leave the transient state for the line of ``address`` and replay
         any queued messages in arrival order."""
-        line_addr = self.address_map.line_address(address)
-        queue = self._blocked.pop(line_addr, None)
+        queue = self._blocked.pop(address & self._line_mask, None)
         if not queue:
             return
         for queued in queue:
@@ -637,7 +587,7 @@ class BaseL2Controller:
         if self.cache.needs_eviction(line_addr) and self.cache.pick_victim(
                 line_addr, victim_filter=can_evict) is None:
             return None
-        line = CacheLine(address=line_addr, state=None)
+        line = CacheLine(line_addr)
         victim = self.cache.insert(line, victim_filter=can_evict)
         if victim is not None:
             self._evict_victim(victim)
@@ -764,9 +714,13 @@ class BaseL2Controller:
         owner drop the line before serving the forward.
         """
         index = msg.mtype.index
-        if self._blocked and self._blocking[index] \
-                and self.defer_if_blocked(msg):
-            return
+        if self._blocked and self._blocking[index] and msg.address is not None:
+            queue = self._blocked.get(msg.address & self._line_mask)
+            if queue is not None:
+                # The message outlives its delivery; keep it out of the pool.
+                msg.retained = True
+                queue.append(msg)
+                return
         handler = self._dispatch[index]
         if handler is None:
             raise RuntimeError(

@@ -79,7 +79,7 @@ class BroadcastL2Controller(BaseL2Controller):
         if line is None:
             self._fetch_and_then(msg)
             return
-        self._start_snoop(line, msg.info["requester"], write=False)
+        self._start_snoop(line, msg.requester, write=False)
 
     def _on_getx(self, msg: Message) -> None:
         assert msg.address is not None
@@ -88,7 +88,7 @@ class BroadcastL2Controller(BaseL2Controller):
         if line is None:
             self._fetch_and_then(msg)
             return
-        self._start_snoop(line, msg.info["requester"], write=True)
+        self._start_snoop(line, msg.requester, write=True)
 
     # ------------------------------------------------------------------ snooping
 
@@ -187,7 +187,7 @@ class BroadcastL2Controller(BaseL2Controller):
             return
         placed.state = BroadcastL2State.VALID
         self.block(line_addr)
-        requester = request.info["requester"]
+        requester = request.requester
         write = request.mtype is MessageType.GETX
 
         def on_data(data: Dict[int, int]) -> None:

@@ -60,55 +60,52 @@ class MESIL1Controller(BaseL1Controller):
     # ------------------------------------------------------------------ core ops
 
     def issue_load(self, address: int, callback: Callable[[int], None]) -> None:
-        """Perform a word load (see :class:`L1ControllerInterface`)."""
-        queue = self._defer_queue(address)
-        if queue is not None:
-            queue.append(lambda: self.issue_load(address, callback))
+        """Perform a word load (see :class:`L1ControllerInterface`).
+
+        A hit runs in this one frame (DESIGN.md, "Flat hot path").
+        """
+        line_addr = address & self._line_mask
+        if line_addr in self._pending or line_addr in self._evicting:
+            self._defer_queue(address).append(
+                lambda: self.issue_load(address, callback))
             return
-        start = self.sim.now
-        line = self.cache.get_line(address)
-        if line is not None and isinstance(line.state, self.state_enum):
-            self.stats.record_hit("read", line.state.category)
-            offset = self.address_map.line_offset(address)
-            value = line.read_word(offset)
-            self._complete_load(callback, value, start)
-            return
-        self.stats.record_miss("read", "invalid")
-        txn = PendingTransaction(
-            kind="load",
-            line_address=self.address_map.line_address(address),
-            address=address,
-            callback=callback,
-            start_time=start,
-        )
+        sim = self.sim
+        loc = self._cache_index.get(line_addr)
+        if loc is not None:
+            line = self._cache_sets[loc[0]][loc[1]]
+            state = line.state
+            if type(state) is self.state_enum:
+                self._read_hits[state.category] += 1
+                sim.schedule_call(self.hit_latency, self._finish_load, callback,
+                                  line.data.get(address & self._offset_mask, 0),
+                                  sim.now)
+                return
+        self._read_misses["invalid"] += 1
+        txn = PendingTransaction("load", self.address_map.line_address(address),
+                                 address, None, None, callback, sim.now)
         self.start_transaction(txn)
         self.send(MessageType.GETS, self.home_node(address),
                   address=txn.line_address, requester=self.core_id)
 
     def issue_store(self, address: int, value: int, callback: Callable[[], None]) -> None:
         """Perform a word store (called by the core's write-buffer drain)."""
-        queue = self._defer_queue(address)
-        if queue is not None:
-            queue.append(lambda: self.issue_store(address, value, callback))
+        line_addr = address & self._line_mask
+        if line_addr in self._pending or line_addr in self._evicting:
+            self._defer_queue(address).append(
+                lambda: self.issue_store(address, value, callback))
             return
-        start = self.sim.now
+        sim = self.sim
         line = self.cache.get_line(address)
-        if line is not None and isinstance(line.state, self.state_enum) and line.state.is_private:
+        if line is not None and type(line.state) is self.state_enum and line.state.is_private:
             line.state = self.modified_state
-            line.write_word(self.address_map.line_offset(address), value)
+            line.write_word(address & self._offset_mask, value)
             self.stats.record_hit("write", "private")
-            self._complete_store(callback, start)
+            sim.schedule_call(self.hit_latency, self._finish_store, callback,
+                              sim.now)
             return
-        category = "shared" if line is not None else "invalid"
-        self.stats.record_miss("write", category)
-        txn = PendingTransaction(
-            kind="store",
-            line_address=self.address_map.line_address(address),
-            address=address,
-            value=value,
-            callback=callback,
-            start_time=start,
-        )
+        self.stats.record_miss("write", "shared" if line is not None else "invalid")
+        txn = PendingTransaction("store", self.address_map.line_address(address),
+                                 address, value, None, callback, sim.now)
         self.start_transaction(txn)
         self.send(MessageType.GETX, self.home_node(address),
                   address=txn.line_address, requester=self.core_id,
@@ -118,30 +115,25 @@ class MESIL1Controller(BaseL1Controller):
         self, address: int, modify: Callable[[int], int], callback: Callable[[int], None]
     ) -> None:
         """Perform an atomic read-modify-write."""
-        queue = self._defer_queue(address)
-        if queue is not None:
-            queue.append(lambda: self.issue_rmw(address, modify, callback))
+        line_addr = address & self._line_mask
+        if line_addr in self._pending or line_addr in self._evicting:
+            self._defer_queue(address).append(
+                lambda: self.issue_rmw(address, modify, callback))
             return
-        start = self.sim.now
+        sim = self.sim
         line = self.cache.get_line(address)
-        if line is not None and isinstance(line.state, self.state_enum) and line.state.is_private:
-            offset = self.address_map.line_offset(address)
+        if line is not None and type(line.state) is self.state_enum and line.state.is_private:
+            offset = address & self._offset_mask
             old = line.read_word(offset)
             line.write_word(offset, modify(old))
             line.state = self.modified_state
             self.stats.record_hit("write", "private")
-            self._complete_rmw(callback, old, start)
+            sim.schedule_call(self.hit_latency, self._finish_rmw, callback, old,
+                              sim.now)
             return
-        category = "shared" if line is not None else "invalid"
-        self.stats.record_miss("write", category)
-        txn = PendingTransaction(
-            kind="rmw",
-            line_address=self.address_map.line_address(address),
-            address=address,
-            modify=modify,
-            callback=callback,
-            start_time=start,
-        )
+        self.stats.record_miss("write", "shared" if line is not None else "invalid")
+        txn = PendingTransaction("rmw", self.address_map.line_address(address),
+                                 address, None, modify, callback, sim.now)
         self.start_transaction(txn)
         self.send(MessageType.GETX, self.home_node(address),
                   address=txn.line_address, requester=self.core_id,
@@ -169,7 +161,7 @@ class MESIL1Controller(BaseL1Controller):
             state = self.shared_state if txn.kind == "load" else self.modified_state
         line = self.install_line(msg.address, msg.data or {}, state)
         self.finish_txn_with_line(txn, line)
-        if txn.meta.get("inv_raced") and state is self.shared_state:
+        if txn.inv_raced and state is self.shared_state:
             # An invalidation overtook this (older) shared-data response: the
             # directory no longer tracks us, so the data may be used exactly
             # once but must not stay cached (it could be stale forever).
@@ -221,7 +213,7 @@ class MESIL1Controller(BaseL1Controller):
         assert msg.address is not None
         if self._defer_forward_if_pending(msg):
             return
-        requester = msg.info["requester"]
+        requester = msg.requester
         line = self._line_or_evicting(msg.address)
         data: Dict[int, int] = line.copy_data() if line is not None else {}
         dirty = bool(line is not None and line.dirty)
@@ -238,7 +230,7 @@ class MESIL1Controller(BaseL1Controller):
         assert msg.address is not None
         if self._defer_forward_if_pending(msg):
             return
-        requester = msg.info["requester"]
+        requester = msg.requester
         line = self._line_or_evicting(msg.address)
         data: Dict[int, int] = line.copy_data() if line is not None else {}
         if self.cache.get_line(msg.address) is not None:

@@ -100,7 +100,7 @@ class MESIL2Controller(BaseL2Controller):
     def _on_gets(self, msg: Message) -> None:
         assert msg.address is not None
         self.stats.requests["GetS"] += 1
-        requester = msg.info["requester"]
+        requester = msg.requester
         line = self.cache.get_line(msg.address)
         if line is None:
             self._fetch_and_then(msg)
@@ -144,7 +144,7 @@ class MESIL2Controller(BaseL2Controller):
     def _on_getx(self, msg: Message) -> None:
         assert msg.address is not None
         self.stats.requests["GetX"] += 1
-        requester = msg.info["requester"]
+        requester = msg.requester
         line = self.cache.get_line(msg.address)
         if line is None:
             self._fetch_and_then(msg)
@@ -269,7 +269,7 @@ class MESIL2Controller(BaseL2Controller):
             self.after(self.access_latency, lambda: self.handle_message(request))
             return
         self.block(line_addr)
-        requester = request.info["requester"]
+        requester = request.requester
         # Capture what the continuation needs as locals, not the request
         # itself (pooled messages must not outlive their delivery).
         is_gets = request.mtype is MessageType.GETS

@@ -49,7 +49,7 @@ class MOESIL1Controller(MESIL1Controller):
         assert msg.address is not None
         if self._defer_forward_if_pending(msg):
             return
-        requester = msg.info["requester"]
+        requester = msg.requester
         line = self._line_or_evicting(msg.address)
         data: Dict[int, int] = line.copy_data() if line is not None else {}
         resident = line is not None and self.cache.get_line(msg.address) is line

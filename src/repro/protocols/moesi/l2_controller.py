@@ -44,7 +44,7 @@ class MOESIL2Controller(MESIL2Controller):
             super()._on_gets(msg)
             return
         self.stats.requests["GetS"] += 1
-        requester = msg.info["requester"]
+        requester = msg.requester
         if requester == line.owner:
             # Defensive mirror of the MESI stale-owner path: forwarding to
             # the requester itself would deadlock, so re-grant a Shared copy
@@ -92,7 +92,7 @@ class MOESIL2Controller(MESIL2Controller):
             super()._on_getx(msg)
             return
         self.stats.requests["GetX"] += 1
-        requester = msg.info["requester"]
+        requester = msg.requester
         others = {sharer for sharer in line.sharers if sharer != requester}
         if requester == line.owner:
             # Upgrade by the owner: invalidate the sharers, then grant.

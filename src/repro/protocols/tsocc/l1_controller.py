@@ -99,7 +99,6 @@ class TSOCCL1Controller(BaseL1Controller):
         self._sro_timestamps = (protocol_config.use_timestamps
                                 and protocol_config.sro_uses_l2_timestamps)
         self._grouped_writes = protocol_config.write_group_size > 1
-        self._offset_mask = self.address_map.offset_mask
         # Index of the lines installed or downgraded as Shared since the
         # last self-invalidation (line address -> line): the flash-clear
         # visits these instead of scanning the whole cache.
@@ -108,68 +107,60 @@ class TSOCCL1Controller(BaseL1Controller):
     # ------------------------------------------------------------------ core ops
 
     def issue_load(self, address: int, callback: Callable[[int], None]) -> None:
-        """Perform a word load (bounded Shared hits, see module docstring)."""
-        queue = self._defer_queue(address)
-        if queue is not None:
-            queue.append(lambda: self.issue_load(address, callback))
+        """Perform a word load (bounded Shared hits, see module docstring).
+
+        A hit runs in this one frame (DESIGN.md, "Flat hot path").
+        """
+        line_addr = address & self._line_mask
+        if line_addr in self._pending or line_addr in self._evicting:
+            self._defer_queue(address).append(
+                lambda: self.issue_load(address, callback))
             return
-        start = self.sim.now
-        line = self.cache.get_line(address)
-        if line is not None:
-            state = line.state
-            if state is not _SHARED:
-                # Exclusive, Modified and SharedRO lines hit freely.
-                self.stats.record_hit("read", state.category)
-                self._complete_load(callback, line.read_word(address & self._offset_mask),
-                                    start)
-                return
-            # Shared: hits are bounded by the access counter (b.acnt); with
-            # max_shared_hits == 0 they never hit.
-            if line.acnt < self.max_shared_hits:
-                line.acnt += 1
-                self.stats.record_hit("read", "shared")
-                self._complete_load(callback, line.read_word(address & self._offset_mask),
-                                    start)
-                return
-            self.stats.record_miss("read", "shared")
+        sim = self.sim
+        loc = self._cache_index.get(line_addr)
+        if loc is None:
+            self._read_misses["invalid"] += 1
         else:
-            self.stats.record_miss("read", "invalid")
-        txn = PendingTransaction(
-            kind="load",
-            line_address=self.address_map.line_address(address),
-            address=address,
-            callback=callback,
-            start_time=start,
-        )
+            line = self._cache_sets[loc[0]][loc[1]]
+            state = line.state
+            # Exclusive, Modified and SharedRO lines hit freely; Shared hits
+            # are bounded by the access counter (b.acnt), and with
+            # max_shared_hits == 0 they never hit.
+            if state is not _SHARED or line.acnt < self.max_shared_hits:
+                if state is _SHARED:
+                    line.acnt += 1
+                self._read_hits[state.category] += 1
+                sim.schedule_call(self.hit_latency, self._finish_load, callback,
+                                  line.data.get(address & self._offset_mask, 0),
+                                  sim.now)
+                return
+            self._read_misses["shared"] += 1
+        txn = PendingTransaction("load", self.address_map.line_address(address),
+                                 address, None, None, callback, sim.now)
         self.start_transaction(txn)
         self.send(MessageType.GETS, self.home_node(address),
                   address=txn.line_address, requester=self.core_id)
 
     def issue_store(self, address: int, value: int, callback: Callable[[], None]) -> None:
         """Perform a word store (called from the core's write-buffer drain)."""
-        queue = self._defer_queue(address)
-        if queue is not None:
-            queue.append(lambda: self.issue_store(address, value, callback))
+        line_addr = address & self._line_mask
+        if line_addr in self._pending or line_addr in self._evicting:
+            self._defer_queue(address).append(
+                lambda: self.issue_store(address, value, callback))
             return
-        start = self.sim.now
+        sim = self.sim
         line = self.cache.get_line(address)
-        if line is not None and isinstance(line.state, TSOCCL1State) and line.state.is_private:
-            line.write_word(self.address_map.line_offset(address), value)
+        if line is not None and type(line.state) is TSOCCL1State and line.state.is_private:
+            line.write_word(address & self._offset_mask, value)
             line.state = _MODIFIED
             self._record_write(line)
             self.stats.record_hit("write", "private")
-            self._complete_store(callback, start)
+            sim.schedule_call(self.hit_latency, self._finish_store, callback,
+                              sim.now)
             return
-        category = self._miss_category(line)
-        self.stats.record_miss("write", category)
-        txn = PendingTransaction(
-            kind="store",
-            line_address=self.address_map.line_address(address),
-            address=address,
-            value=value,
-            callback=callback,
-            start_time=start,
-        )
+        self.stats.record_miss("write", self._miss_category(line))
+        txn = PendingTransaction("store", self.address_map.line_address(address),
+                                 address, value, None, callback, sim.now)
         self.start_transaction(txn)
         self.send(MessageType.GETX, self.home_node(address),
                   address=txn.line_address, requester=self.core_id)
@@ -178,31 +169,26 @@ class TSOCCL1Controller(BaseL1Controller):
         self, address: int, modify: Callable[[int], int], callback: Callable[[int], None]
     ) -> None:
         """Perform an atomic read-modify-write (issues GetX like a write)."""
-        queue = self._defer_queue(address)
-        if queue is not None:
-            queue.append(lambda: self.issue_rmw(address, modify, callback))
+        line_addr = address & self._line_mask
+        if line_addr in self._pending or line_addr in self._evicting:
+            self._defer_queue(address).append(
+                lambda: self.issue_rmw(address, modify, callback))
             return
-        start = self.sim.now
+        sim = self.sim
         line = self.cache.get_line(address)
-        if line is not None and isinstance(line.state, TSOCCL1State) and line.state.is_private:
-            offset = self.address_map.line_offset(address)
+        if line is not None and type(line.state) is TSOCCL1State and line.state.is_private:
+            offset = address & self._offset_mask
             old = line.read_word(offset)
             line.write_word(offset, modify(old))
             line.state = _MODIFIED
             self._record_write(line)
             self.stats.record_hit("write", "private")
-            self._complete_rmw(callback, old, start)
+            sim.schedule_call(self.hit_latency, self._finish_rmw, callback, old,
+                              sim.now)
             return
-        category = self._miss_category(line)
-        self.stats.record_miss("write", category)
-        txn = PendingTransaction(
-            kind="rmw",
-            line_address=self.address_map.line_address(address),
-            address=address,
-            modify=modify,
-            callback=callback,
-            start_time=start,
-        )
+        self.stats.record_miss("write", self._miss_category(line))
+        txn = PendingTransaction("rmw", self.address_map.line_address(address),
+                                 address, None, modify, callback, sim.now)
         self.start_transaction(txn)
         self.send(MessageType.GETX, self.home_node(address),
                   address=txn.line_address, requester=self.core_id)
@@ -214,7 +200,7 @@ class TSOCCL1Controller(BaseL1Controller):
         self.complete_with_latency(callback, latency=1)
 
     def _miss_category(self, line: Optional[CacheLine]) -> str:
-        if line is None or not isinstance(line.state, TSOCCL1State):
+        if line is None or type(line.state) is not TSOCCL1State:
             return "invalid"
         return line.state.category
 
@@ -245,7 +231,8 @@ class TSOCCL1Controller(BaseL1Controller):
             src=self.node_id,
             dst=self.node_id,
             address=None,
-            info={"source": self.core_id, "source_kind": "l1", "epoch": new_epoch},
+            info={"source": self.core_id, "source_kind": "l1"},
+            epoch=new_epoch,
         )
         destinations = (
             [n for n in self.topology.all_l1_nodes() if n != self.node_id]
@@ -268,10 +255,12 @@ class TSOCCL1Controller(BaseL1Controller):
         still the resident line and still Shared.
         """
         cache = self.cache
-        get_line = cache.get_line
+        index, sets = self._cache_index, self._cache_sets
         victims = 0
         for address, line in self._shared_lines.items():
-            if get_line(address) is line and line.state is _SHARED:
+            loc = index.get(address)
+            if (loc is not None and sets[loc[0]][loc[1]] is line
+                    and line.state is _SHARED):
                 cache.remove(address)
                 victims += 1
         self._shared_lines.clear()
@@ -336,14 +325,12 @@ class TSOCCL1Controller(BaseL1Controller):
         txn = self.response_txn(msg)
         self.stats.data_responses += 1
         mtype = msg.mtype
-        # Every data response carries these fields (SharedRO ones carry the
-        # L2 tile instead of the writer): read them once.
-        info = msg.info
-        writer = info.get("writer")
-        ts = info.get("ts")
-        epoch = info.get("epoch", 0)
-        tile = info.get("tile")
-        cause = self._observe_response(mtype, writer, ts, epoch, tile)
+        # Every data response carries these slots (SharedRO ones carry the
+        # L2 tile instead of the writer).
+        writer = msg.writer
+        ts = msg.ts
+        epoch = msg.epoch
+        cause = self._observe_response(mtype, writer, ts, epoch, msg.tile)
         if cause is not None:
             self._self_invalidate(cause, from_response=True)
 
@@ -375,8 +362,7 @@ class TSOCCL1Controller(BaseL1Controller):
             self.send(MessageType.L1_ACK, msg.src, address=address,
                       acker=self.core_id)
         self.finish_txn_with_line(txn, line)
-        if txn.meta.get("inv_raced") and (state is _SHARED
-                                          or state is _SHARED_RO):
+        if txn.inv_raced and (state is _SHARED or state is _SHARED_RO):
             # A (SharedRO) broadcast invalidation overtook this data response:
             # keeping the copy could leave a read-only line stale forever, so
             # use the data once and drop it.
@@ -398,7 +384,7 @@ class TSOCCL1Controller(BaseL1Controller):
         """
         assert msg.address is not None
         line = self.cache.get_line(msg.address)
-        if line is not None and isinstance(line.state, TSOCCL1State) and line.state.is_private:
+        if line is not None and type(line.state) is TSOCCL1State and line.state.is_private:
             return line
         evicting = self.evicting_line(msg.address)
         if evicting is not None:
@@ -428,7 +414,7 @@ class TSOCCL1Controller(BaseL1Controller):
         line = self._line_for_forward(msg)
         if line is None:
             return
-        requester = msg.info["requester"]
+        requester = msg.requester
         data = line.copy_data()
         dirty = line.dirty
         ts, epoch, writer = line.ts, line.ts_epoch, line.last_writer
@@ -452,7 +438,7 @@ class TSOCCL1Controller(BaseL1Controller):
         line = self._line_for_forward(msg)
         if line is None:
             return
-        requester = msg.info["requester"]
+        requester = msg.requester
         data = line.copy_data()
         dirty = line.dirty
         ts, epoch, writer = line.ts, line.ts_epoch, line.last_writer
@@ -491,13 +477,12 @@ class TSOCCL1Controller(BaseL1Controller):
         """A node reset its timestamp source: forget its last-seen timestamp
         and adopt its new epoch-id (§3.5)."""
         source = msg.info["source"]
-        epoch = msg.info["epoch"]
         if msg.info.get("source_kind") == "l2":
             self.ts_l2.invalidate(source)
-            self.epochs_l2.update(source, epoch)
+            self.epochs_l2.update(source, msg.epoch)
         else:
             self.ts_l1.invalidate(source)
-            self.epochs_l1.update(source, epoch)
+            self.epochs_l1.update(source, msg.epoch)
 
     # ------------------------------------------------------------------ evictions
 
@@ -513,7 +498,7 @@ class TSOCCL1Controller(BaseL1Controller):
         }
 
     def _evict(self, victim: CacheLine) -> None:
-        if not isinstance(victim.state, TSOCCL1State):
+        if type(victim.state) is not TSOCCL1State:
             return
         self._shared_lines.pop(victim.address, None)
         self.stats.evictions[victim.state.category] += 1

@@ -171,7 +171,7 @@ class TSOCCL2Controller(BaseL2Controller):
     def _on_gets(self, msg: Message) -> None:
         assert msg.address is not None
         self.stats.requests["GetS"] += 1
-        requester = msg.info["requester"]
+        requester = msg.requester
         line = self.cache.get_line(msg.address)
         if line is None:
             self._fetch_and_grant(msg)
@@ -211,7 +211,7 @@ class TSOCCL2Controller(BaseL2Controller):
     def _on_getx(self, msg: Message) -> None:
         assert msg.address is not None
         self.stats.requests["GetX"] += 1
-        requester = msg.info["requester"]
+        requester = msg.requester
         line = self.cache.get_line(msg.address)
         if line is None:
             self._fetch_and_grant(msg)
@@ -286,12 +286,10 @@ class TSOCCL2Controller(BaseL2Controller):
                 line.merge_data(msg.data)
             if dirty:
                 line.dirty = True
-                line.custom["modified"] = True
-                line.ts = msg.info.get("ts")
-                line.ts_epoch = msg.info.get("epoch", 0)
+                line.ts = msg.ts
+                line.ts_epoch = msg.epoch
                 line.last_writer = owner
-                self._record_writer_timestamp(owner, msg.info.get("ts"),
-                                              msg.info.get("epoch", 0))
+                self._record_writer_timestamp(owner, msg.ts, msg.epoch)
             if not dirty and self.config.use_shared_ro:
                 # Not modified by the previous exclusive owner: SharedRO
                 # instead of Shared (§3.4), which also avoids Shared lines
@@ -312,9 +310,7 @@ class TSOCCL2Controller(BaseL2Controller):
         if line is not None and txn is not None:
             old_owner = msg.info["old_owner"]
             if msg.info.get("dirty"):
-                line.custom["modified"] = True
-                self._record_writer_timestamp(old_owner, msg.info.get("ts"),
-                                              msg.info.get("epoch", 0))
+                self._record_writer_timestamp(old_owner, msg.ts, msg.epoch)
             line.state = _EXCLUSIVE
             line.owner = txn["requester"]
             line.sharers = set()
@@ -355,12 +351,10 @@ class TSOCCL2Controller(BaseL2Controller):
         """A dirty Put carries the owner's latest write: record the line's
         timestamp metadata and the writer's last-seen timestamp."""
         owner = msg.info["owner"]
-        line.custom["modified"] = True
-        line.ts = msg.info.get("ts")
-        line.ts_epoch = msg.info.get("epoch", 0)
+        line.ts = msg.ts
+        line.ts_epoch = msg.epoch
         line.last_writer = owner
-        self._record_writer_timestamp(owner, msg.info.get("ts"),
-                                      msg.info.get("epoch", 0))
+        self._record_writer_timestamp(owner, msg.ts, msg.epoch)
 
     # ------------------------------------------------------------------ decay / SharedRO
 
@@ -405,16 +399,16 @@ class TSOCCL2Controller(BaseL2Controller):
             src=self.node_id,
             dst=self.node_id,
             address=None,
-            info={"source": self.tile_id, "source_kind": "l2", "epoch": new_epoch},
+            info={"source": self.tile_id, "source_kind": "l2"},
+            epoch=new_epoch,
         )
         self.network.broadcast(template, self.topology.all_l1_nodes())
 
     def _on_ts_reset(self, msg: Message) -> None:
         """A core reset its timestamp source: forget its last-seen timestamp."""
         source = msg.info["source"]
-        epoch = msg.info["epoch"]
         self.ts_l1_last_seen.invalidate(source)
-        self.epochs_l1.update(source, epoch)
+        self.epochs_l1.update(source, msg.epoch)
 
     # ------------------------------------------------------------------ allocation / memory / eviction
 
@@ -429,7 +423,7 @@ class TSOCCL2Controller(BaseL2Controller):
             self.after(self.access_latency, lambda: self.handle_message(request))
             return
         self.block(line_addr)
-        requester = request.info["requester"]
+        requester = request.requester
         dtype = (_DATA_E if request.mtype is MessageType.GETS
                  else _DATA_X)
 
@@ -473,5 +467,4 @@ class TSOCCL2Controller(BaseL2Controller):
 
     def on_recalled_wb_data(self, msg: Message) -> None:
         """Recalled writeback data carries the owner's timestamp metadata."""
-        self._record_writer_timestamp(msg.info.get("owner"), msg.info.get("ts"),
-                                      msg.info.get("epoch", 0))
+        self._record_writer_timestamp(msg.info.get("owner"), msg.ts, msg.epoch)

@@ -59,7 +59,7 @@ class DroppedInvL1Controller(MESIL1Controller):
         assert msg.address is not None
         if self._defer_forward_if_pending(msg):
             return
-        requester = msg.info["requester"]
+        requester = msg.requester
         line = self._line_or_evicting(msg.address)
         data = line.copy_data() if line is not None else {}
         resident = self.cache.get_line(msg.address)
